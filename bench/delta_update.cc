@@ -261,17 +261,8 @@ shipRelease(const std::string &bench, const GridPoint &point,
         }
         result.instructions = ran;
         // Exact start-to-done span (the run-step granularity above
-        // is too coarse): the phases are contiguous, so their cycle
-        // accounts sum to the wall time the install occupied.
-        uint64_t span = 0;
-        for (const auto phase :
-             {update::LiveInstallPhase::Admission,
-              update::LiveInstallPhase::Stage,
-              update::LiveInstallPhase::Reverify,
-              update::LiveInstallPhase::Load,
-              update::LiveInstallPhase::Attest})
-            span += live.phaseCycles(phase);
-        result.cycles = span;
+        // is too coarse).
+        result.cycles = live.installCycles();
         result.done =
             live.phase() == update::LiveInstallPhase::Done;
         return result;

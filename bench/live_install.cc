@@ -181,10 +181,8 @@ fixedPaceSlowdown(const std::string &bench, const GridPoint &point,
     sim::SyntheticWorkload workload(profile, config.l2.line_size);
     sim::System system(config, workload);
 
-    update::InstallTimingConfig itc;
-    itc.line_bytes = config.l2.line_size;
-    update::InstallTiming timing(itc, system.channel(),
-                                 system.cryptoEngine());
+    update::InstallTiming timing(system.channel(), system.cryptoEngine(),
+                                 config.l2.line_size);
     timing.start(update::InstallPlan::fromImageBytes(
                      point.image_bytes, config.l2.line_size),
                  0, /*repeat=*/true);

@@ -103,11 +103,9 @@ makeCell(const GridPoint &point)
         // nothing contending.
         mem::MemoryChannel idle_channel(config.channel);
         crypto::CryptoEngineModel idle_engine(config.protection.crypto);
-        update::InstallTimingConfig itc;
-        itc.line_bytes = config.l2.line_size;
-        itc.pacing = point.pacing;
-        update::InstallTiming idle_replay(itc, idle_channel,
-                                          idle_engine);
+        update::InstallTiming idle_replay(idle_channel, idle_engine,
+                                          config.l2.line_size,
+                                          point.pacing);
         idle_replay.start(plan, 0);
         const uint64_t idle_cycles = idle_replay.replay();
 
@@ -120,8 +118,9 @@ makeCell(const GridPoint &point)
             sim::benchmarkProfile(bench);
         sim::SyntheticWorkload workload(profile, config.l2.line_size);
         sim::System system(config, workload);
-        update::InstallTiming timing(itc, system.channel(),
-                                     system.cryptoEngine());
+        update::InstallTiming timing(system.channel(),
+                                     system.cryptoEngine(),
+                                     config.l2.line_size, point.pacing);
         timing.start(plan, 0, /*repeat=*/true);
         system.attachAgent(&timing);
         system.run(options.warmup_instructions);

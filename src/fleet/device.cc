@@ -145,52 +145,33 @@ simulateDownload(const ota::TransportConfig &config,
     fatal_if(config.chunk_bytes == 0 || config.cycles_per_chunk == 0,
              "download model needs a chunked, rate-capped link");
 
-    // Draw-for-draw replica of ota::Transport::send()'s schedule
-    // computation. Arrival cycles depend only on a chunk's position
-    // within its pass, never on its offset, so the work list
-    // degenerates to a count; the completion cycle is the maximum
-    // arrival, which is exactly Transport::completionCycle().
-    util::Rng rng(config.seed);
+    // The transport's own loss process. Arrival cycles depend only
+    // on a chunk's position within its pass, never on its offset, so
+    // the work list degenerates to a count; the completion cycle is
+    // the maximum arrival, which is exactly
+    // Transport::completionCycle().
+    ota::LossSchedule loss(config, start_cycle);
     DownloadSim sim;
+    sim.completion_cycle = start_cycle;
     uint64_t todo =
         (payload_bytes + config.chunk_bytes - 1) / config.chunk_bytes;
-    uint64_t clock = start_cycle;
-    constexpr uint64_t kMaxPasses = 10'000;
-    uint64_t passes = 0;
     while (todo != 0) {
-        fatal_if(++passes > kMaxPasses,
-                 "download model retransmitted the same payload ",
-                 kMaxPasses, " times; loss model is stuck");
+        loss.beginPass();
         uint64_t lost = 0;
-        uint64_t burst_remaining = 0;
         for (uint64_t i = 0; i < todo; ++i) {
-            clock += config.cycles_per_chunk;
-            ++sim.chunks_sent;
-            if (burst_remaining == 0 && rng.chance(config.loss_rate)) {
-                burst_remaining =
-                    1 + rng.nextGeometric(1.0 / config.burst_length);
-            }
-            if (burst_remaining > 0) {
-                --burst_remaining;
-                ++sim.chunks_lost;
+            const uint64_t arrival = loss.transmit();
+            if (arrival == ota::LossSchedule::kLost)
                 ++lost;
-                continue;
-            }
-            uint64_t arrival = clock;
-            if (config.reorder_rate > 0.0 &&
-                rng.chance(config.reorder_rate)) {
-                const uint64_t jitter =
-                    1 + rng.nextRange(std::max(
-                            config.reorder_window, 1u));
-                arrival += jitter * config.cycles_per_chunk;
-            }
-            sim.completion_cycle =
-                std::max(sim.completion_cycle, arrival);
+            else
+                sim.completion_cycle =
+                    std::max(sim.completion_cycle, arrival);
         }
         todo = lost;
-        clock += config.retransmit_delay;
+        loss.endPass();
     }
-    sim.retransmit_passes = passes == 0 ? 0 : passes - 1;
+    sim.chunks_sent = loss.chunksSent();
+    sim.chunks_lost = loss.chunksLost();
+    sim.retransmit_passes = loss.retransmitPasses();
     return sim;
 }
 

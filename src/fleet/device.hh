@@ -12,13 +12,14 @@
  * *state* (active image version, health), and the cycle cost of one
  * install is predicted from
  *
- *  - an exact replica of ota::Transport's arrival-schedule
- *    computation (same RNG draw sequence, no byte movement), so a
- *    lightweight download completes on exactly the cycle the full
- *    transport model would deliver its last chunk; and
+ *  - ota::Transport's own loss process (ota::LossSchedule, no byte
+ *    movement), so a lightweight download completes on exactly the
+ *    cycle the full transport model would deliver its last chunk;
+ *    and
  *  - an InstallCostModel calibrated per (release, engine-latency
- *    class) by replaying the real bundle through
- *    update::InstallTiming once (vendor.hh does the calibration),
+ *    class) by replaying the real bundle through the
+ *    update::InstallTiming executor once (vendor.hh does the
+ *    calibration),
  *    with the admission read overlapped against the download and
  *    the post-admission pipeline stretched by the device's workload
  *    contention factor.
@@ -168,8 +169,8 @@ struct DeviceState
 
 /**
  * Calibrated cycle cost of one clean, uncontended install of a
- * release on one engine-latency class (from a standalone
- * update::InstallTiming replay of the real bundle).
+ * release on one engine-latency class (the phase cycles of a
+ * standalone update::InstallTiming replay of the real bundle).
  */
 struct InstallCostModel
 {
@@ -204,9 +205,9 @@ struct DownloadSim
 };
 
 /**
- * Replay ota::Transport's arrival-schedule computation for a
- * @p payload_bytes payload starting at @p start_cycle — the same
- * RNG draw sequence send() performs, without materializing payload
+ * Run ota::Transport's loss process for a @p payload_bytes payload
+ * starting at @p start_cycle — the same ota::LossSchedule draws
+ * send() makes, counting chunks instead of materializing payload
  * bytes or the schedule. Exactness is asserted by
  * tests/fleet_test.cc against the real Transport.
  */

@@ -600,7 +600,7 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
                      "ground-truth base release refused to stage");
             const update::InstallResult activated = updater.activate(
                 1, system.mainMemory(), system.virtualMemory(),
-                live_config.asid, system.engine());
+                update::LiveInstall::kAsid, system.engine());
             fatal_if(!activated.ok(),
                      "ground-truth base release refused to activate");
             gt.predicted_cycles = predictCleanInstallCycles(

@@ -9,7 +9,6 @@
 
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
-#include "obs/metrics.hh"
 #include "update/install_timing.hh"
 #include "update/update_engine.hh"
 #include "util/logging.hh"
@@ -105,47 +104,34 @@ makeProgram(uint64_t vendor_seed, uint32_t payload_version,
 }
 
 /**
- * Replay @p bundle through a standalone fixed-pace InstallTiming on
- * an otherwise idle machine with an @p engine_latency crypto engine,
- * and split the measured cycles into the lightweight cost model's
- * three stages. This is the one place the fleet touches the real
- * cycle plane per (release, engine class) — every lightweight device
+ * Replay @p plan through a standalone fixed-pace InstallTiming on an
+ * otherwise idle machine with an @p engine_latency crypto engine,
+ * and split its phase cycles into the lightweight cost model's three
+ * stages. This is the one place the fleet touches the real cycle
+ * plane per (release, engine class) — every lightweight device
  * reuses the result.
  */
 InstallCostModel
 calibrate(const update::InstallPlan &plan, uint32_t line_bytes,
           uint32_t engine_latency)
 {
+    using update::InstallPhase;
     mem::MemoryChannel channel;
     crypto::CryptoEngineModel engine(
         crypto::CryptoEngineConfig{engine_latency, 1});
-
-    update::InstallTimingConfig config;
-    config.line_bytes = line_bytes;
-    config.pacing = update::InstallPacing::Fixed;
-    update::InstallTiming timing(config, channel, engine);
-
-    obs::MetricsRegistry registry;
-    timing.registerMetrics(registry);
-
+    update::InstallTiming timing(channel, engine, line_bytes,
+                                 update::InstallPacing::Fixed);
     timing.start(plan, 0);
     timing.replay();
 
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    fatal_if(snap.u64("updater.installs_completed") != 1,
-             "release calibration replay did not complete");
-
-    const auto phase = [&](const char *name) {
-        return snap.u64(std::string("updater.phase.") + name +
-                        "_cycles");
-    };
     InstallCostModel cost;
-    cost.admission_read_cycles = phase("admission_read");
-    cost.admission_sig_cycles = phase("admission_sig");
-    cost.post_admission_cycles =
-        phase("stage_write") + phase("reverify_read") +
-        phase("reverify_sig") + phase("load_write") +
-        phase("capsule_unwrap") + phase("attest");
+    cost.admission_read_cycles =
+        timing.phaseCycles(InstallPhase::AdmissionRead);
+    cost.admission_sig_cycles =
+        timing.phaseCycles(InstallPhase::AdmissionSig);
+    cost.post_admission_cycles = timing.installCycles() -
+                                 cost.admission_read_cycles -
+                                 cost.admission_sig_cycles;
     return cost;
 }
 
@@ -212,26 +198,27 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
     info.framed_bytes = update::kSlotHeaderBytes +
                         info.bundle.serialize().size();
 
-    info.cost_paper = calibrate(
-        update::InstallPlan::fromBundle(info.bundle,
-                                        config_.line_bytes),
-        config_.line_bytes, crypto::kPaperCryptoLatency);
-    info.cost_strong = calibrate(
-        update::InstallPlan::fromBundle(info.bundle,
-                                        config_.line_bytes),
-        config_.line_bytes, crypto::kStrongCipherLatency);
+    const update::InstallPlan plan = update::InstallPlan::fromBundle(
+        info.framed_bytes, info.bundle.image.totalBytes(),
+        config_.line_bytes);
+    info.cost_paper = calibrate(plan, config_.line_bytes,
+                                crypto::kPaperCryptoLatency);
+    info.cost_strong = calibrate(plan, config_.line_bytes,
+                                 crypto::kStrongCipherLatency);
 
     if (base != nullptr) {
         info.delta = builder_.buildDelta(base->bundle, info.bundle);
         info.delta_framed_bytes = update::kSlotHeaderBytes +
                                   info.delta.serializedSize();
-        const update::InstallPlan plan = update::InstallPlan::fromDelta(
-            info.delta, info.bundle, base->framed_bytes,
-            config_.line_bytes);
+        const update::InstallPlan delta_plan =
+            update::InstallPlan::fromDelta(info.delta_framed_bytes,
+                                           base->framed_bytes, plan,
+                                           config_.line_bytes);
         info.delta_cost_paper = calibrate(
-            plan, config_.line_bytes, crypto::kPaperCryptoLatency);
-        info.delta_cost_strong = calibrate(
-            plan, config_.line_bytes, crypto::kStrongCipherLatency);
+            delta_plan, config_.line_bytes, crypto::kPaperCryptoLatency);
+        info.delta_cost_strong =
+            calibrate(delta_plan, config_.line_bytes,
+                      crypto::kStrongCipherLatency);
     }
 
     return releases_.emplace(version, std::move(info))

@@ -16,6 +16,9 @@
  * (subject to the same loss process) one NACK round trip after the
  * pass that lost it — until every payload byte has arrived.
  *
+ * The loss process itself is LossSchedule, which the fleet's
+ * lightweight download model (fleet/device.hh) draws from too.
+ *
  * Consumers poll(cycle) for newly arrived chunks; the LiveInstall
  * agent step-locks its admission verify against this stream, so an
  * install can make no progress on bytes the network has not
@@ -25,11 +28,14 @@
 #ifndef SECPROC_OTA_TRANSPORT_HH
 #define SECPROC_OTA_TRANSPORT_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "obs/trace.hh"
+#include "util/logging.hh"
+#include "util/random.hh"
 
 namespace secproc::ota
 {
@@ -61,6 +67,101 @@ struct TransportConfig
 
     /** Loss/reorder RNG seed; same seed, same arrival schedule. */
     uint64_t seed = 0x07A'7EA5;
+};
+
+/**
+ * The downlink's loss process, one transmission at a time. Chunks go
+ * out in passes at the bandwidth cap; a Gilbert-style two-state
+ * process drops bursts of them (a geometric number of extra losses
+ * after the one that opens a burst), survivors may be jittered up to
+ * reorder_window chunk slots late, and the drop set is retransmitted
+ * as the next pass one NACK round trip later, on a clear channel.
+ *
+ * A consumer calls beginPass(), then transmit() once per chunk the
+ * pass carries, then endPass(); every chunk transmit() reports lost
+ * belongs in the next pass. Arrival cycles depend only on a chunk's
+ * position within its pass, so Transport::send (which tracks
+ * offsets) and fleet::simulateDownload (which only counts chunks)
+ * draw the same sequence from the same seed.
+ */
+class LossSchedule
+{
+  public:
+    /** transmit()'s value for a chunk the link dropped. */
+    static constexpr uint64_t kLost = UINT64_MAX;
+
+    LossSchedule(const TransportConfig &config, uint64_t start_cycle)
+        : config_(config), rng_(config.seed), clock_(start_cycle)
+    {
+    }
+
+    /** Open the next pass. */
+    void
+    beginPass()
+    {
+        // A stuck loss process cannot happen (loss_rate < 1 and
+        // burst lengths are finite), but bound the passes anyway so
+        // a config change fails loudly instead of spinning.
+        constexpr uint64_t kMaxPasses = 10'000;
+        fatal_if(++passes_ > kMaxPasses, "downlink retransmitted the "
+                 "same payload ", kMaxPasses,
+                 " times; loss model is stuck");
+    }
+
+    /** Transmit one chunk. @return its arrival cycle, or kLost. */
+    uint64_t
+    transmit()
+    {
+        clock_ += config_.cycles_per_chunk;
+        ++sent_;
+        if (burst_remaining_ == 0 && rng_.chance(config_.loss_rate)) {
+            burst_remaining_ =
+                1 + rng_.nextGeometric(1.0 / config_.burst_length);
+        }
+        if (burst_remaining_ > 0) {
+            --burst_remaining_;
+            ++lost_;
+            return kLost;
+        }
+        uint64_t arrival = clock_;
+        if (config_.reorder_rate > 0.0 &&
+            rng_.chance(config_.reorder_rate)) {
+            const uint64_t jitter =
+                1 + rng_.nextRange(std::max(config_.reorder_window, 1u));
+            arrival += jitter * config_.cycles_per_chunk;
+            ++reordered_;
+        }
+        return arrival;
+    }
+
+    /** Close the pass: its losses go out one NACK round trip later. */
+    void
+    endPass()
+    {
+        clock_ += config_.retransmit_delay;
+        burst_remaining_ = 0;
+    }
+
+    /** Transmit cycle of the latest chunk (pass end before endPass). */
+    uint64_t clock() const { return clock_; }
+
+    uint64_t chunksSent() const { return sent_; }
+    uint64_t chunksLost() const { return lost_; }
+    uint64_t chunksReordered() const { return reordered_; }
+    uint64_t retransmitPasses() const
+    {
+        return passes_ == 0 ? 0 : passes_ - 1;
+    }
+
+  private:
+    const TransportConfig config_;
+    util::Rng rng_;
+    uint64_t clock_;
+    uint64_t burst_remaining_ = 0;
+    uint64_t passes_ = 0;
+    uint64_t sent_ = 0;
+    uint64_t lost_ = 0;
+    uint64_t reordered_ = 0;
 };
 
 /**
@@ -138,10 +239,7 @@ class Transport
     uint64_t chunksReordered() const { return chunks_reordered_; }
     /** Chunks skipped because the receiver already held them. */
     uint64_t chunksSkipped() const { return chunks_skipped_; }
-    uint64_t retransmitPasses() const
-    {
-        return passes_ == 0 ? 0 : passes_ - 1;
-    }
+    uint64_t retransmitPasses() const { return retransmit_passes_; }
     /** @} */
 
     const TransportConfig &config() const { return config_; }
@@ -174,7 +272,7 @@ class Transport
     uint64_t chunks_lost_ = 0;
     uint64_t chunks_reordered_ = 0;
     uint64_t chunks_skipped_ = 0;
-    uint64_t passes_ = 0;
+    uint64_t retransmit_passes_ = 0;
     obs::TraceSink *trace_ = nullptr;
     obs::TrackId trace_track_ = 0;
 };

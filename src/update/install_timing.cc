@@ -1,13 +1,13 @@
 /**
  * @file
- * Install replay implementation.
+ * Install executor implementation.
  */
 
 #include "update/install_timing.hh"
 
 #include <algorithm>
+#include <string>
 
-#include "update/update_engine.hh"
 #include "util/logging.hh"
 
 namespace secproc::update
@@ -16,10 +16,33 @@ namespace secproc::update
 namespace
 {
 
+/** Base address every line of a bare replay uses (DRAM bank
+ *  selection only; no bytes move). */
+constexpr uint64_t kStagingBase = 0x4000'0000;
+
 uint64_t
 ceilDiv(uint64_t value, uint64_t unit)
 {
     return (value + unit - 1) / unit;
+}
+
+/** Successor in the install pipeline (sole ordering map). */
+InstallPhase
+nextPhase(InstallPhase phase)
+{
+    switch (phase) {
+      case InstallPhase::AdmissionRead: return InstallPhase::AdmissionSig;
+      case InstallPhase::AdmissionSig: return InstallPhase::StageWrite;
+      case InstallPhase::StageWrite: return InstallPhase::ReverifyRead;
+      case InstallPhase::ReverifyRead: return InstallPhase::ReverifySig;
+      case InstallPhase::ReverifySig: return InstallPhase::LoadWrite;
+      case InstallPhase::LoadWrite: return InstallPhase::CapsuleUnwrap;
+      case InstallPhase::CapsuleUnwrap: return InstallPhase::Attest;
+      case InstallPhase::Attest:
+      case InstallPhase::Idle:
+        break;
+    }
+    panic("install phase has no successor");
 }
 
 } // namespace
@@ -34,15 +57,31 @@ installPacingName(InstallPacing pacing)
     panic("unknown install pacing");
 }
 
+const char *
+installPhaseName(InstallPhase phase)
+{
+    switch (phase) {
+      case InstallPhase::AdmissionRead: return "admission_read";
+      case InstallPhase::AdmissionSig: return "admission_sig";
+      case InstallPhase::StageWrite: return "stage_write";
+      case InstallPhase::ReverifyRead: return "reverify_read";
+      case InstallPhase::ReverifySig: return "reverify_sig";
+      case InstallPhase::LoadWrite: return "load_write";
+      case InstallPhase::CapsuleUnwrap: return "capsule_unwrap";
+      case InstallPhase::Attest: return "attest";
+      case InstallPhase::Idle: return "idle";
+    }
+    panic("unknown install phase");
+}
+
 InstallPlan
-InstallPlan::fromBundle(const UpdateBundle &bundle, uint32_t line_bytes)
+InstallPlan::fromBundle(uint64_t framed_bytes, uint64_t image_bytes,
+                        uint32_t line_bytes)
 {
     InstallPlan plan;
-    const uint64_t bundle_bytes = bundle.serialize().size();
-    plan.stage_lines =
-        ceilDiv(kSlotHeaderBytes + bundle_bytes, line_bytes);
+    plan.stage_lines = ceilDiv(framed_bytes, line_bytes);
     plan.verify_lines = plan.stage_lines;
-    plan.load_lines = ceilDiv(bundle.image.totalBytes(), line_bytes);
+    plan.load_lines = ceilDiv(image_bytes, line_bytes);
     return plan;
 }
 
@@ -59,40 +98,57 @@ InstallPlan::fromImageBytes(uint64_t image_bytes, uint32_t line_bytes)
 }
 
 InstallPlan
-InstallPlan::fromDelta(const DeltaBundle &delta,
-                       const UpdateBundle &reconstructed,
-                       uint64_t base_framed_bytes, uint32_t line_bytes)
+InstallPlan::fromDelta(uint64_t delta_framed_bytes,
+                       uint64_t base_framed_bytes,
+                       const InstallPlan &reconstructed,
+                       uint32_t line_bytes)
 {
-    InstallPlan plan = fromBundle(reconstructed, line_bytes);
-    plan.admission_lines =
-        ceilDiv(kSlotHeaderBytes + delta.serializedSize(),
-                line_bytes) +
-        ceilDiv(base_framed_bytes, line_bytes);
+    InstallPlan plan = reconstructed;
+    plan.admission_lines = ceilDiv(delta_framed_bytes, line_bytes) +
+                           ceilDiv(base_framed_bytes, line_bytes);
     return plan;
 }
 
-InstallTiming::InstallTiming(const InstallTimingConfig &config,
-                             mem::MemoryChannel &channel,
-                             crypto::CryptoEngineModel &engine)
-    : config_(config), channel_(channel), engine_(engine),
-      agent_(channel.registerAgent(config.agent_name))
+InstallTiming::InstallTiming(mem::MemoryChannel &channel,
+                             crypto::CryptoEngineModel &engine,
+                             uint32_t line_bytes, InstallPacing pacing)
+    : InstallTiming(channel, engine, line_bytes, pacing, "updater",
+                    "updater", 0)
 {
-    fatal_if(config_.line_bytes == 0, "install replay needs a line size");
+}
+
+InstallTiming::InstallTiming(mem::MemoryChannel &channel,
+                             crypto::CryptoEngineModel &engine,
+                             uint32_t line_bytes, InstallPacing pacing,
+                             const char *agent_name,
+                             const char *track_name,
+                             uint64_t replay_step)
+    : channel_(channel), engine_(engine), line_bytes_(line_bytes),
+      pacing_(pacing), track_name_(track_name),
+      replay_step_(replay_step),
+      agent_(channel.registerAgent(agent_name))
+{
+    fatal_if(line_bytes_ == 0, "install replay needs a line size");
 }
 
 void
 InstallTiming::start(const InstallPlan &plan, uint64_t cycle,
                      bool repeat)
 {
-    fatal_if(plan.stage_lines == 0 && plan.load_lines == 0,
+    fatal_if(plan.admissionLines() == 0 && plan.stage_lines == 0 &&
+                 plan.load_lines == 0,
              "install plan with nothing to move");
     fatal_if(waiting_, "start() with a channel request in flight "
              "(reset() first)");
     plan_ = plan;
     repeat_ = repeat;
+    finished_ = false;
     cursor_ = cycle;
     install_start_ = cycle;
-    enterPhase(Phase::AdmissionRead);
+    install_cycles_ = 0;
+    phase_cycles_.fill(0);
+    phase_ = InstallPhase::Idle;
+    enterPhase(InstallPhase::AdmissionRead);
 }
 
 void
@@ -101,86 +157,36 @@ InstallTiming::reset()
     // Drop the in-flight install. The caller owns the channel and
     // must reset it alongside (System::reset does): a request still
     // queued in the arbiter would otherwise be granted to nobody.
-    phase_ = Phase::Idle;
+    if (trace_ != nullptr && !done())
+        trace_->instant(trace_track_, "power_cut_reset", cursor_);
+    phase_ = InstallPhase::Idle;
     phase_index_ = 0;
     waiting_ = false;
     repeat_ = false;
+    finished_ = false;
 }
 
 uint64_t
-InstallTiming::lineAddr(uint64_t index) const
+InstallTiming::lineAddr(InstallPhase, uint64_t index) const
 {
-    return config_.staging_base + index * config_.line_bytes;
-}
-
-uint32_t
-InstallTiming::writePaceCycles() const
-{
-    // Streams of writes are paced at the bus transfer time of one
-    // line: the source (transport DMA, loader) can produce no faster
-    // than the channel can possibly drain.
-    const uint32_t pace = channel_.config().transfer_cycles;
-    return pace ? pace : 1;
-}
-
-InstallTiming::Phase
-InstallTiming::nextPhase(Phase phase)
-{
-    // The one place the install pipeline's order is written down.
-    switch (phase) {
-      case Phase::AdmissionRead: return Phase::AdmissionSig;
-      case Phase::AdmissionSig: return Phase::StageWrite;
-      case Phase::StageWrite: return Phase::ReverifyRead;
-      case Phase::ReverifyRead: return Phase::ReverifySig;
-      case Phase::ReverifySig: return Phase::LoadWrite;
-      case Phase::LoadWrite: return Phase::CapsuleUnwrap;
-      case Phase::CapsuleUnwrap: return Phase::Attest;
-      case Phase::Attest:
-      case Phase::Idle:
-        break;
-    }
-    panic("install phase has no successor");
+    return kStagingBase + index * line_bytes_;
 }
 
 uint64_t
-InstallTiming::phaseItems(Phase phase) const
+InstallTiming::phaseItems(InstallPhase phase) const
 {
     switch (phase) {
-      case Phase::AdmissionRead:
+      case InstallPhase::AdmissionRead:
         return plan_.admissionLines();
-      case Phase::ReverifyRead:
+      case InstallPhase::ReverifyRead:
         return plan_.verify_lines;
-      case Phase::StageWrite:
+      case InstallPhase::StageWrite:
         return plan_.stage_lines;
-      case Phase::LoadWrite:
+      case InstallPhase::LoadWrite:
         return plan_.load_lines;
-      case Phase::AdmissionSig:
-      case Phase::ReverifySig:
-      case Phase::CapsuleUnwrap:
-        return config_.signature_engine_ops != 0 ? 1 : 0;
-      case Phase::Attest:
-        return plan_.attest && config_.attest_engine_ops != 0 ? 1 : 0;
-      case Phase::Idle:
-        break;
+      default:
+        return 1;
     }
-    return 0;
-}
-
-const char *
-InstallTiming::phaseName(Phase phase)
-{
-    switch (phase) {
-      case Phase::AdmissionRead: return "admission_read";
-      case Phase::AdmissionSig: return "admission_sig";
-      case Phase::StageWrite: return "stage_write";
-      case Phase::ReverifyRead: return "reverify_read";
-      case Phase::ReverifySig: return "reverify_sig";
-      case Phase::LoadWrite: return "load_write";
-      case Phase::CapsuleUnwrap: return "capsule_unwrap";
-      case Phase::Attest: return "attest";
-      case Phase::Idle: return "idle";
-    }
-    panic("unknown install phase");
 }
 
 void
@@ -188,62 +194,70 @@ InstallTiming::setTraceSink(obs::TraceSink *sink)
 {
     trace_ = sink;
     if (sink != nullptr)
-        trace_track_ = sink->track(config_.agent_name);
+        trace_track_ = sink->track(track_name_);
 }
 
 void
 InstallTiming::registerMetrics(obs::MetricsRegistry &reg) const
 {
-    static constexpr Phase kAccounted[] = {
-        Phase::AdmissionRead, Phase::AdmissionSig, Phase::StageWrite,
-        Phase::ReverifyRead,  Phase::ReverifySig,  Phase::LoadWrite,
-        Phase::CapsuleUnwrap, Phase::Attest,
-    };
-    for (const Phase phase : kAccounted) {
-        reg.counterFn(std::string("updater.phase.") + phaseName(phase) +
+    const std::string prefix = std::string(track_name_) + ".";
+    for (size_t i = 0; i < phase_cycles_.size(); ++i) {
+        const auto phase = static_cast<InstallPhase>(i);
+        reg.counterFn(prefix + "phase." + installPhaseName(phase) +
                           "_cycles",
-                      [this, phase] {
-                          return phase_cycles_[static_cast<size_t>(
-                              phase)];
-                      });
+                      [this, phase] { return phaseCycles(phase); });
     }
-    reg.counterFn("updater.installs_completed",
+    reg.counterFn(prefix + "installs_completed",
                   [this] { return installs_completed_; });
 }
 
 void
 InstallTiming::closePhaseSpan()
 {
-    if (phase_ == Phase::Idle || cursor_ < phase_started_at_)
+    if (phase_ == InstallPhase::Idle)
         return;
     phase_cycles_[static_cast<size_t>(phase_)] +=
         cursor_ - phase_started_at_;
     if (trace_ != nullptr && cursor_ > phase_started_at_) {
-        trace_->duration(trace_track_, phaseName(phase_),
+        trace_->duration(trace_track_, installPhaseName(phase_),
                          phase_started_at_, cursor_);
+    }
+}
+
+void
+InstallTiming::enterPhase(InstallPhase phase)
+{
+    closePhaseSpan();
+    phase_ = phase;
+    phase_index_ = 0;
+    phase_started_at_ = cursor_;
+    switch (phase) {
+      case InstallPhase::AdmissionSig:
+      case InstallPhase::ReverifySig:
+      case InstallPhase::CapsuleUnwrap:
+        // Signature-class work needs nothing from the channel: it
+        // queues on the engine the moment its predecessor completes.
+        cursor_ = engine_.reserve(cursor_, kSignatureEngineOps);
+        completePhase();
+        return;
+      case InstallPhase::Idle:
+        return;
+      default:
+        // Fall through phases the plan leaves empty, so issueNext()
+        // always has work.
+        if (phaseItems(phase) == 0)
+            completePhase();
+        return;
     }
 }
 
 void
 InstallTiming::completePhase()
 {
-    if (phase_ == Phase::Attest)
+    if (!commitPhase(phase_) || phase_ == InstallPhase::Attest)
         finishInstall();
     else
         enterPhase(nextPhase(phase_));
-}
-
-void
-InstallTiming::enterPhase(Phase phase)
-{
-    closePhaseSpan();
-    phase_ = phase;
-    phase_index_ = 0;
-    phase_started_at_ = cursor_;
-    // Fall through phases the plan or config leaves empty, so
-    // issueNext() always has work.
-    if (phase_ != Phase::Idle && phaseItems(phase_) == 0)
-        completePhase();
 }
 
 void
@@ -254,75 +268,93 @@ InstallTiming::finishInstall()
     // (which closes again) accumulates zero, not a duplicate.
     phase_started_at_ = cursor_;
     ++installs_completed_;
-    last_install_cycles_ = cursor_ - install_start_;
+    install_cycles_ = cursor_ - install_start_;
     if (repeat_) {
         install_start_ = cursor_;
-        enterPhase(Phase::AdmissionRead);
+        enterPhase(InstallPhase::AdmissionRead);
     } else {
-        phase_ = Phase::Idle;
+        phase_ = InstallPhase::Idle;
+        finished_ = true;
     }
 }
 
 void
+InstallTiming::finishLine(uint64_t done_at)
+{
+    cursor_ = done_at;
+    if (++phase_index_ >= phaseItems(phase_))
+        completePhase();
+}
+
+bool
 InstallTiming::issueNext()
 {
     switch (phase_) {
-      case Phase::AdmissionRead:
-      case Phase::ReverifyRead: {
-        if (config_.pacing == InstallPacing::Arbiter) {
-            channel_.requestBackground(cursor_,
-                                       mem::Traffic::UpdateFill,
-                                       /*write=*/false,
-                                       /*small=*/false,
-                                       lineAddr(phase_index_), agent_);
-            waiting_ = true;
-            return;
+      case InstallPhase::AdmissionRead:
+      case InstallPhase::ReverifyRead: {
+        // Admission cannot fetch a line before it arrived; the
+        // re-verification reads the slot the machine wrote itself.
+        uint64_t ready = cursor_;
+        if (phase_ == InstallPhase::AdmissionRead) {
+            const uint64_t arrived = admissionReadyCycle(phase_index_);
+            if (arrived == sim::kNeverCycle)
+                return false;
+            ready = std::max(ready, arrived);
         }
-        // Fetch one staged/transport line and digest it: the hash
-        // unit holds the engine for the whole line, it is not the
-        // pipelined pad path.
+        const uint64_t addr = lineAddr(phase_, phase_index_);
+        if (pacing_ == InstallPacing::Arbiter) {
+            channel_.requestBackground(ready, mem::Traffic::UpdateFill,
+                                       /*write=*/false, /*small=*/false,
+                                       addr, agent_);
+            waiting_ = true;
+            return true;
+        }
+        // Fetch the line and digest it: the hash unit holds the
+        // engine for the whole line, it is not the pipelined pad path.
         const uint64_t arrival = channel_.scheduleRead(
-            cursor_, mem::Traffic::UpdateFill, /*small=*/false,
-            lineAddr(phase_index_), agent_);
-        cursor_ = engine_.reserve(arrival);
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
-        return;
+            ready, mem::Traffic::UpdateFill, /*small=*/false, addr,
+            agent_);
+        finishLine(engine_.reserve(arrival));
+        return true;
       }
-      case Phase::AdmissionSig:
-      case Phase::ReverifySig:
-      case Phase::CapsuleUnwrap: {
-        cursor_ = engine_.reserve(cursor_,
-                                  config_.signature_engine_ops);
-        completePhase();
-        return;
-      }
-      case Phase::StageWrite:
-      case Phase::LoadWrite: {
-        if (config_.pacing == InstallPacing::Arbiter) {
+      case InstallPhase::StageWrite:
+      case InstallPhase::LoadWrite: {
+        if (phase_ == InstallPhase::StageWrite) {
+            // Resumed lines already sit in the slot: no write issued.
+            while (phase_index_ < phaseItems(phase_) &&
+                   stageLineResumed(phase_index_))
+                ++phase_index_;
+            if (phase_index_ >= phaseItems(phase_)) {
+                completePhase();
+                return true;
+            }
+        }
+        const uint64_t addr = lineAddr(phase_, phase_index_);
+        if (pacing_ == InstallPacing::Arbiter) {
             channel_.requestBackground(cursor_,
                                        mem::Traffic::UpdateWriteback,
-                                       /*write=*/true,
-                                       /*small=*/false,
-                                       lineAddr(phase_index_), agent_);
+                                       /*write=*/true, /*small=*/false,
+                                       addr, agent_);
             waiting_ = true;
-            return;
+            return true;
         }
         channel_.enqueueWrite(cursor_, mem::Traffic::UpdateWriteback,
-                              /*small=*/false, lineAddr(phase_index_),
-                              agent_);
-        cursor_ += writePaceCycles();
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
-        return;
+                              /*small=*/false, addr, agent_);
+        if (phase_ == InstallPhase::StageWrite)
+            onStageWrite(phase_index_);
+        // Streams of writes are paced at the bus transfer time of one
+        // line: the source (transport DMA, loader) can produce no
+        // faster than the channel can possibly drain.
+        const uint32_t pace = channel_.config().transfer_cycles;
+        finishLine(cursor_ + (pace ? pace : 1));
+        return true;
       }
-      case Phase::Attest: {
-        cursor_ = engine_.reserve(cursor_, config_.attest_engine_ops);
+      case InstallPhase::Attest:
+        cursor_ = engine_.reserve(cursor_, kSignatureEngineOps);
         completePhase();
-        return;
-      }
-      case Phase::Idle:
-        return;
+        return true;
+      default:
+        return false;
     }
 }
 
@@ -330,28 +362,35 @@ void
 InstallTiming::completeGrant(uint64_t completion)
 {
     switch (phase_) {
-      case Phase::AdmissionRead:
-      case Phase::ReverifyRead:
+      case InstallPhase::AdmissionRead:
+      case InstallPhase::ReverifyRead:
         // The granted line arrived; the digest holds the engine for
         // the whole line time, exactly as in fixed pacing.
-        cursor_ = engine_.reserve(completion);
-        break;
-      case Phase::StageWrite:
-      case Phase::LoadWrite:
-        cursor_ = completion;
-        break;
+        finishLine(engine_.reserve(completion));
+        return;
+      case InstallPhase::StageWrite:
+        // The granted write moves the line: a power cut now leaves
+        // exactly the lines written so far in the slot.
+        onStageWrite(phase_index_);
+        finishLine(completion);
+        return;
+      case InstallPhase::LoadWrite:
+        finishLine(completion);
+        return;
       default:
-        panic("arbiter grant in a non-channel install phase");
+        panic("arbiter grant in install phase ",
+              installPhaseName(phase_));
     }
-    if (++phase_index_ >= phaseItems(phase_))
-        completePhase();
 }
 
 uint64_t
 InstallTiming::nextEventCycle(uint64_t now) const
 {
-    if (phase_ == Phase::Idle)
+    if (done())
         return sim::kNeverCycle;
+    // Outside inputs (transport arrivals) must be collected promptly
+    // whatever else the install is doing.
+    uint64_t wake = externalEventCycle();
     if (waiting_) {
         // A grant may already be parked for us (the foreground's own
         // channel activity runs the arbiter too): collect at the
@@ -359,28 +398,36 @@ InstallTiming::nextEventCycle(uint64_t now) const
         // cycle its arbiter state can change.
         if (channel_.backgroundGrantReady(agent_))
             return now;
-        return channel_.nextArbiterEventCycle();
+        return std::min(wake, channel_.nextArbiterEventCycle());
     }
     // Self-paced: the next issue happens at the first boundary that
-    // reaches the pipeline cursor.
-    return cursor_;
+    // reaches the pipeline cursor — unless it is blocked on an input
+    // only the wake above can deliver.
+    if (phase_ != InstallPhase::AdmissionRead ||
+        admissionReadyCycle(phase_index_) != sim::kNeverCycle)
+        wake = std::min(wake, cursor_);
+    return wake;
 }
 
 void
 InstallTiming::advance(uint64_t cycle)
 {
-    while (phase_ != Phase::Idle) {
+    if (done())
+        return;
+    pump(cycle);
+    while (!done()) {
         if (waiting_) {
-            const auto done = channel_.pollBackground(agent_, cycle);
-            if (!done.has_value())
+            const auto granted = channel_.pollBackground(agent_, cycle);
+            if (!granted.has_value())
                 return;
             waiting_ = false;
-            completeGrant(*done);
+            completeGrant(*granted);
             continue;
         }
         if (cursor_ > cycle)
             return;
-        issueNext();
+        if (!issueNext())
+            return; // blocked on an outside input
     }
 }
 
@@ -388,23 +435,25 @@ uint64_t
 InstallTiming::replay()
 {
     fatal_if(repeat_, "replay() on a repeating install never finishes");
-    const uint64_t target = installs_completed_ + 1;
-    while (phase_ != Phase::Idle && installs_completed_ < target) {
+    fatal_if(done(), "nothing to replay");
+    uint64_t now = cursor_;
+    while (!done()) {
+        advance(now);
+        if (done())
+            break;
+        // Idle machine: jump the clock to whatever unblocks us — the
+        // next arbiter grant window (right after the current bus
+        // horizon), or the next cursor/outside input.
+        uint64_t next = std::max(now, cursor_);
         if (waiting_) {
-            // Idle machine: the next idle gap is right after the
-            // current bus horizon, so a poll just past it always
-            // grants.
-            const uint64_t horizon =
-                std::max(cursor_, channel_.busyUntil()) +
-                channel_.config().transfer_cycles + 1;
-            const auto done = channel_.pollBackground(agent_, horizon);
-            panic_if(!done.has_value(),
-                     "idle-machine replay failed to grant");
-            waiting_ = false;
-            completeGrant(*done);
-            continue;
+            next = std::max(next, channel_.busyUntil()) +
+                   channel_.config().transfer_cycles + 1;
+        } else {
+            next += replay_step_;
         }
-        issueNext();
+        panic_if(next <= now, "idle replay is stuck at cycle ", now,
+                 " in phase ", installPhaseName(phase_));
+        now = next;
     }
     return cursor_;
 }

@@ -1,34 +1,50 @@
 /**
  * @file
- * Cycle-plane model of a secure software install.
+ * The install executor: the one cycle-plane phase machine every
+ * secure install runs through.
  *
  * The UpdateEngine (update_engine.hh) is functional-only: verify(),
  * stage() and activate() move and check real bytes but cost zero
- * simulated cycles. This adapter replays the same flow against the
+ * simulated cycles. InstallTiming replays the same flow against the
  * machine's *timing* resources — the shared MemoryChannel and the
  * shared CryptoEngineModel — so the paper-style question "what does
  * a background OTA install do to foreground slowdown?" becomes
- * answerable:
+ * answerable. One install walks these phases, in this order:
  *
- *  1. admission verify: every bundle line is fetched from the
+ *  1. admission_read: every bundle line is fetched from the
  *     transport buffer in untrusted memory (Traffic::UpdateFill) and
  *     digested in the crypto engine (an exclusive whole-line
  *     reservation — hashing is not the pipelined pad path);
- *     signature checks reserve the engine for several line-times;
- *  2. stage: the framed bundle streams into the inactive A/B slot
- *     through the write buffer (Traffic::UpdateWriteback);
- *  3. re-verification at activate: the staged bytes are read back
- *     and digested again (the staging area is outside the security
- *     boundary), plus another signature check;
- *  4. load: the vendor-encrypted image streams to its home region
- *     and the key capsule unwrap reserves the engine once more;
- *  5. attestation quote (optional): one more signing reservation.
+ *  2. admission_sig: the manifest signature check reserves the
+ *     engine for kSignatureEngineOps line-times;
+ *  3. stage_write: the framed bundle streams into the inactive A/B
+ *     slot through the write buffer (Traffic::UpdateWriteback);
+ *  4. reverify_read + reverify_sig: at activation the staged bytes
+ *     are read back and digested again (the staging area is outside
+ *     the security boundary), plus another signature check;
+ *  5. load_write + capsule_unwrap: the vendor-encrypted image streams
+ *     to its home region and the key capsule unwrap reserves the
+ *     engine once more;
+ *  6. attest: one more signing reservation for the attestation quote.
  *
- * The replay is self-paced — one transaction outstanding, the next
- * issued when its predecessor completes — and is driven by
- * System::run() through the BackgroundAgent interface, so install
- * traffic interleaves deterministically with the foreground
- * workload's fills and evictions.
+ * Per-line work is self-paced — one transaction outstanding, the
+ * next issued when its predecessor completes and the core clock has
+ * reached it — either straight against the bus horizon
+ * (InstallPacing::Fixed) or through the channel's foreground-priority
+ * arbiter (InstallPacing::Arbiter). Signature-class reservations
+ * (admission_sig, reverify_sig, capsule_unwrap) issue the moment the
+ * preceding phase completes; the attestation quote waits for the
+ * clock. System::run() drives the executor through the
+ * BackgroundAgent interface, so install traffic interleaves
+ * deterministically with the foreground workload's fills and
+ * evictions; replay() runs it on an otherwise idle machine.
+ *
+ * Used directly, the executor replays a bare InstallPlan with every
+ * line at one staging base — the timing-only install the
+ * interference benches and the fleet's cost calibration measure.
+ * LiveInstall (live_install.hh) attaches the functional half through
+ * the protected hooks below: network step-lock, real slot writes,
+ * the three verdict points and its own address map.
  */
 
 #ifndef SECPROC_UPDATE_INSTALL_TIMING_HH
@@ -36,23 +52,21 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/agent.hh"
-#include "update/delta.hh"
-#include "update/manifest.hh"
+#include "sim/event_queue.hh"
 
 namespace secproc::update
 {
 
 /**
- * Resource demands of one install, in line-sized units. Derived from
- * a real UpdateBundle or synthesized from an image size; the
- * InstallTiming executor turns it into channel transactions and
+ * Resource demands of one install, in line-sized units. Built from
+ * the framed and image sizes of a real bundle or synthesized from an
+ * image size; the executor turns it into channel transactions and
  * engine reservations.
  */
 struct InstallPlan
@@ -76,11 +90,13 @@ struct InstallPlan
     /** Image lines streamed to their home region at load. */
     uint64_t load_lines = 0;
 
-    /** Request an attestation quote after activation. */
-    bool attest = true;
-
-    /** The exact demands of installing @p bundle. */
-    static InstallPlan fromBundle(const UpdateBundle &bundle,
+    /**
+     * The exact demands of installing a bundle whose slot framing
+     * (kSlotHeaderBytes included) is @p framed_bytes long and whose
+     * image payload is @p image_bytes.
+     */
+    static InstallPlan fromBundle(uint64_t framed_bytes,
+                                  uint64_t image_bytes,
                                   uint32_t line_bytes);
 
     /** Synthetic plan for an image of @p image_bytes payload. */
@@ -89,13 +105,14 @@ struct InstallPlan
 
     /**
      * The demands of a delta install: admission covers the framed
-     * delta stream plus the base-bundle readback; staging, reverify
-     * and load cover the full @p reconstructed bundle (slot-to-slot
+     * delta stream (@p delta_framed_bytes) plus the base-bundle
+     * readback (@p base_framed_bytes); staging, reverify and load
+     * cover the full @p reconstructed bundle (slot-to-slot
      * reconstruction writes every line of the new image).
      */
-    static InstallPlan fromDelta(const DeltaBundle &delta,
-                                 const UpdateBundle &reconstructed,
+    static InstallPlan fromDelta(uint64_t delta_framed_bytes,
                                  uint64_t base_framed_bytes,
+                                 const InstallPlan &reconstructed,
                                  uint32_t line_bytes);
 
     /** Lines the admission pass actually touches. */
@@ -113,8 +130,8 @@ enum class InstallPacing
 {
     /**
      * Issue immediately against the bus horizon; write streams are
-     * paced at the bus transfer time (the PR-4 model: the install
-     * takes bandwidth whenever its own pipeline is ready).
+     * paced at the bus transfer time (the install takes bandwidth
+     * whenever its own pipeline is ready).
      */
     Fixed,
 
@@ -130,32 +147,22 @@ enum class InstallPacing
 /** Short name for bench labels ("fixed" / "arbiter"). */
 const char *installPacingName(InstallPacing pacing);
 
-/** Knobs of the replay (engine costs of the non-streaming steps). */
-struct InstallTimingConfig
+/** The install pipeline's phases, in execution order. */
+enum class InstallPhase : uint8_t
 {
-    /** L2 line size; one channel transaction per line. */
-    uint32_t line_bytes = 128;
-
-    /** How transactions contend with the foreground. */
-    InstallPacing pacing = InstallPacing::Fixed;
-
-    /** Base address of the staging slot (DRAM bank selection). */
-    uint64_t staging_base = 0x4000'0000;
-
-    /**
-     * Crypto-engine reservation, in whole-line operation times, for
-     * one RSA signature verification (and for the key capsule
-     * unwrap). A dedicated big-number unit would shrink this; the
-     * paper's machine has only the one line engine.
-     */
-    uint32_t signature_engine_ops = 16;
-
-    /** Engine reservation for signing one attestation quote. */
-    uint32_t attest_engine_ops = 16;
-
-    /** Channel-agent display name. */
-    std::string agent_name = "updater";
+    AdmissionRead,  ///< fetch + digest bundle lines (verify)
+    AdmissionSig,   ///< manifest signature check
+    StageWrite,     ///< stream framed bundle into the slot
+    ReverifyRead,   ///< fetch + digest staged lines (activate)
+    ReverifySig,    ///< staged manifest signature re-check
+    LoadWrite,      ///< stream image lines to their home region
+    CapsuleUnwrap,  ///< RSA key-capsule unwrap
+    Attest,         ///< attestation quote signature
+    Idle,           ///< nothing in flight
 };
+
+/** Short phase name for traces and metrics ("admission_read", ...). */
+const char *installPhaseName(InstallPhase phase);
 
 /**
  * Replays InstallPlans against a machine's shared channel and crypto
@@ -165,14 +172,24 @@ class InstallTiming : public sim::BackgroundAgent
 {
   public:
     /**
-     * Registers a named channel agent for attribution.
+     * Crypto-engine reservation, in whole-line operation times, for
+     * one RSA signature verification, the key capsule unwrap and the
+     * attestation quote. A dedicated big-number unit would shrink
+     * this; the paper's machine has only the one line engine.
+     */
+    static constexpr uint32_t kSignatureEngineOps = 16;
+
+    /**
+     * Registers the "updater" channel agent for attribution.
      *
      * @param channel The machine's memory channel.
      * @param engine The machine's shared crypto engine.
+     * @param line_bytes L2 line size; one channel transaction per
+     *        line.
      */
-    InstallTiming(const InstallTimingConfig &config,
-                  mem::MemoryChannel &channel,
-                  crypto::CryptoEngineModel &engine);
+    InstallTiming(mem::MemoryChannel &channel,
+                  crypto::CryptoEngineModel &engine, uint32_t line_bytes,
+                  InstallPacing pacing = InstallPacing::Fixed);
 
     /**
      * Begin replaying @p plan at @p cycle. With @p repeat, a new
@@ -183,104 +200,173 @@ class InstallTiming : public sim::BackgroundAgent
                bool repeat = false);
 
     // BackgroundAgent interface.
-    void advance(uint64_t cycle) override;
-    bool done() const override { return phase_ == Phase::Idle; }
-    uint64_t nextEventCycle(uint64_t now) const override;
-    void reset() override;
+    void advance(uint64_t cycle) final;
+    bool done() const final { return phase_ == InstallPhase::Idle; }
+    uint64_t nextEventCycle(uint64_t now) const final;
 
     /**
-     * Run the current install(s) to completion regardless of the
-     * core clock (idle-machine replay). @return the completion cycle
-     * of the install in flight. Must not be called on a repeating
-     * replay — it would never finish.
+     * Power cut / machine reset: abandon the install in flight (a
+     * "power_cut_reset" trace instant marks it). Pair with
+     * System::reset(), which drops the channel-side queued request
+     * and calls this hook.
      */
-    uint64_t replay();
-
-    /** Installs fully replayed so far. */
-    uint64_t installsCompleted() const { return installs_completed_; }
-
-    /** Duration of the most recently completed install. */
-    uint64_t lastInstallCycles() const { return last_install_cycles_; }
-
-    /** Channel agent id this replay's traffic is attributed to. */
-    mem::AgentId agent() const { return agent_; }
+    void reset() final;
 
     /**
      * Trace the replay onto @p sink (nullptr detaches): one span per
-     * pipeline phase on a track named after the channel agent.
-     * Inherited from System::setTraceSink when attached.
+     * pipeline phase. Inherited from System::setTraceSink when
+     * attached.
      */
     void setTraceSink(obs::TraceSink *sink) override;
 
     /**
+     * Run the install in flight to completion regardless of the core
+     * clock (idle-machine replay). @return the cycle it finished (or
+     * failed). Must not be called on a repeating replay — it would
+     * never finish.
+     */
+    uint64_t replay();
+
+    /**
      * Register per-phase cycle accounting
-     * ("updater.phase.<name>_cycles") and install progress counters
-     * with @p reg.
+     * ("<track>.phase.<name>_cycles") and the install counter with
+     * @p reg.
      */
     void registerMetrics(obs::MetricsRegistry &reg) const;
 
-  private:
-    enum class Phase
-    {
-        AdmissionRead,  ///< fetch + digest bundle lines (verify)
-        AdmissionSig,   ///< manifest signature check
-        StageWrite,     ///< stream framed bundle into the slot
-        ReverifyRead,   ///< fetch + digest staged lines (activate)
-        ReverifySig,    ///< staged manifest signature re-check
-        LoadWrite,      ///< stream image lines to their home region
-        CapsuleUnwrap,  ///< RSA key-capsule unwrap
-        Attest,         ///< attestation quote signature
-        Idle,
-    };
+    /** Installs run to their end so far. */
+    uint64_t installsCompleted() const { return installs_completed_; }
 
-    InstallTimingConfig config_;
+    /** Cycles from start to end of the most recently finished
+     *  install (0 while the first one is in flight). */
+    uint64_t installCycles() const { return install_cycles_; }
+
+    /**
+     * Cycles spent in @p phase since start(). The phases are
+     * contiguous, so they sum to installCycles() once an install
+     * finishes.
+     */
+    uint64_t
+    phaseCycles(InstallPhase phase) const
+    {
+        return phase_cycles_[static_cast<size_t>(phase)];
+    }
+
+    /** Channel agent this replay's traffic is attributed to. */
+    mem::AgentId agent() const { return agent_; }
+
+  protected:
+    /**
+     * For an executor with a functional half attached.
+     *
+     * @param agent_name Channel-agent name of the install traffic.
+     * @param track_name Trace track (and metrics prefix) of the
+     *        phase spans.
+     * @param replay_step Cycles replay() moves the idle clock past
+     *        the cursor when the pipeline is not waiting on a grant
+     *        (the downlink's chunk interval when blocked on it).
+     */
+    InstallTiming(mem::MemoryChannel &channel,
+                  crypto::CryptoEngineModel &engine, uint32_t line_bytes,
+                  InstallPacing pacing, const char *agent_name,
+                  const char *track_name, uint64_t replay_step);
+
+    /** Hooks for a functional half; the defaults are the bare
+     *  timing replay. @{ */
+
+    /** Address of line @p index of @p phase (bank selection). */
+    virtual uint64_t lineAddr(InstallPhase phase, uint64_t index) const;
+
+    /** Cycle admission line @p index became readable, or
+     *  sim::kNeverCycle while it has not arrived yet. */
+    virtual uint64_t admissionReadyCycle(uint64_t) const { return 0; }
+
+    /** True when stage line @p index already sits in the slot. */
+    virtual bool stageLineResumed(uint64_t) const { return false; }
+
+    /** Stage line @p index was written (issue or grant). */
+    virtual void onStageWrite(uint64_t) {}
+
+    /** Verdict point at the end of @p phase: false ends the install
+     *  there. */
+    virtual bool commitPhase(InstallPhase) { return true; }
+
+    /** Collect outside inputs up to @p cycle (each advance()). */
+    virtual void pump(uint64_t) {}
+
+    /** Earliest cycle an outside input can arrive. */
+    virtual uint64_t externalEventCycle() const
+    {
+        return sim::kNeverCycle;
+    }
+
+    /** @} */
+
+    uint32_t lineBytes() const { return line_bytes_; }
+
+    /** Phase the pipeline is in (Idle when nothing is in flight). */
+    InstallPhase pipelinePhase() const { return phase_; }
+
+    /** True once the install started last ran to its end, pass or
+     *  fail; false while it runs, after reset() and before start(). */
+    bool finished() const { return finished_; }
+
+    /** Completion cycle of the last action issued. */
+    uint64_t cursor() const { return cursor_; }
+
+    /** The plan in flight; a verdict hook may extend it once the
+     *  remaining extents are known (delta reconstruction). */
+    InstallPlan plan_;
+
+  private:
     mem::MemoryChannel &channel_;
     crypto::CryptoEngineModel &engine_;
-    mem::AgentId agent_;
+    const uint32_t line_bytes_;
+    const InstallPacing pacing_;
+    const char *const track_name_;
+    const uint64_t replay_step_;
+    const mem::AgentId agent_;
 
-    InstallPlan plan_;
     bool repeat_ = false;
-    Phase phase_ = Phase::Idle;
+    bool finished_ = false;
+    InstallPhase phase_ = InstallPhase::Idle;
     uint64_t phase_index_ = 0; ///< lines issued in the current phase
     uint64_t cursor_ = 0;      ///< completion cycle of the last action
-    uint64_t install_start_ = 0;
-    uint64_t installs_completed_ = 0;
-    uint64_t last_install_cycles_ = 0;
     /** Arbiter pacing: a channel request is in flight. */
     bool waiting_ = false;
+    uint64_t install_start_ = 0;
+    uint64_t installs_completed_ = 0;
+    uint64_t install_cycles_ = 0;
 
     /** Cycle the current phase was entered (span start). */
     uint64_t phase_started_at_ = 0;
-    /** Cycles spent per phase, indexed by Phase. */
-    std::array<uint64_t, 9> phase_cycles_{};
+    /** Cycles spent per phase, indexed by InstallPhase. */
+    std::array<uint64_t, static_cast<size_t>(InstallPhase::Idle)>
+        phase_cycles_{};
 
     obs::TraceSink *trace_ = nullptr;
     obs::TrackId trace_track_ = 0;
 
-    /** Issue the next transaction/reservation; advances cursor_. */
-    void issueNext();
+    /** Issue the next transaction/reservation if its inputs are
+     *  ready; false when blocked on an outside input. */
+    bool issueNext();
 
     /** Arbiter pacing: fold a granted transaction's completion into
      *  the pipeline (reads chain into an engine reservation). */
     void completeGrant(uint64_t completion);
 
-    /** Successor in the fixed install pipeline (sole ordering map). */
-    static Phase nextPhase(Phase phase);
+    /** One line of the current phase done at @p done_at. */
+    void finishLine(uint64_t done_at);
 
-    /** Short phase name for traces and metrics. */
-    static const char *phaseName(Phase phase);
+    /** How many per-line items the plan puts in @p phase. */
+    uint64_t phaseItems(InstallPhase phase) const;
 
     /** Close the running phase's span (cycles + trace duration). */
     void closePhaseSpan();
 
-    /** How many issueNext() items the plan puts in @p phase. */
-    uint64_t phaseItems(Phase phase) const;
-
-    void enterPhase(Phase phase);
+    void enterPhase(InstallPhase phase);
     void completePhase();
     void finishInstall();
-    uint64_t lineAddr(uint64_t index) const;
-    uint32_t writePaceCycles() const;
 };
 
 } // namespace secproc::update

@@ -212,11 +212,9 @@ TEST(SystemWakeupTest, ResetDrainsPendingWakeups)
     sim::System system(config, workload);
     system.setKernelMode(sim::KernelMode::Event);
 
-    update::InstallTimingConfig itc;
-    itc.line_bytes = config.l2.line_size;
-    itc.pacing = update::InstallPacing::Arbiter;
-    update::InstallTiming timing(itc, system.channel(),
-                                 system.cryptoEngine());
+    update::InstallTiming timing(system.channel(), system.cryptoEngine(),
+                                 config.l2.line_size,
+                                 update::InstallPacing::Arbiter);
     timing.start(update::InstallPlan::fromImageBytes(
                      256 << 10, config.l2.line_size),
                  0, /*repeat=*/true);

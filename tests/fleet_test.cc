@@ -64,6 +64,8 @@ TEST(FleetDevice, DownloadModelMatchesTransportExactly)
                 << linkClassName(link) << " seed " << seed;
             EXPECT_EQ(sim.chunks_sent, transport.chunksSent());
             EXPECT_EQ(sim.chunks_lost, transport.chunksLost());
+            EXPECT_EQ(sim.retransmit_passes,
+                      transport.retransmitPasses());
         }
     }
 }

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "crypto/latency.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
+#include "update/delta.hh"
 #include "update/image_builder.hh"
 #include "update/install_timing.hh"
+#include "update/live_install.hh"
 #include "update/update_engine.hh"
 #include "util/random.hh"
 
@@ -24,14 +28,6 @@ using namespace secproc;
 using namespace secproc::update;
 
 constexpr uint32_t kLine = 128;
-
-InstallTimingConfig
-timingConfig()
-{
-    InstallTimingConfig config;
-    config.line_bytes = kLine;
-    return config;
-}
 
 // ------------------------------------------------------------------ plans
 
@@ -66,7 +62,8 @@ TEST(InstallPlan, FromBundleMatchesSerializedSize)
     const UpdateBundle bundle =
         builder.build(program, spec, processor.pub, rng);
 
-    const InstallPlan plan = InstallPlan::fromBundle(bundle, kLine);
+    const InstallPlan plan = InstallPlan::fromBundle(
+        frameBundle(bundle).size(), bundle.image.totalBytes(), kLine);
     const uint64_t bundle_lines =
         (bundle.serialize().size() + kSlotHeaderBytes + kLine - 1) /
         kLine;
@@ -88,13 +85,13 @@ TEST(InstallTiming, IdleReplayScalesWithImageSize)
     auto replayCycles = [&](uint64_t image_bytes) {
         mem::MemoryChannel channel(channel_config);
         crypto::CryptoEngineModel engine(engine_config);
-        InstallTiming timing(timingConfig(), channel, engine);
+        InstallTiming timing(channel, engine, kLine);
         timing.start(InstallPlan::fromImageBytes(image_bytes, kLine),
                      0);
         const uint64_t end = timing.replay();
         EXPECT_TRUE(timing.done());
         EXPECT_EQ(timing.installsCompleted(), 1u);
-        EXPECT_EQ(timing.lastInstallCycles(), end);
+        EXPECT_EQ(timing.installCycles(), end);
         return end;
     };
 
@@ -109,7 +106,7 @@ TEST(InstallTiming, ReplayMovesAttributedTraffic)
 {
     mem::MemoryChannel channel{mem::ChannelConfig{}};
     crypto::CryptoEngineModel engine{crypto::CryptoEngineConfig{}};
-    InstallTiming timing(timingConfig(), channel, engine);
+    InstallTiming timing(channel, engine, kLine);
 
     const InstallPlan plan = InstallPlan::fromImageBytes(64 * kLine,
                                                         kLine);
@@ -129,17 +126,16 @@ TEST(InstallTiming, ReplayMovesAttributedTraffic)
 
     // Digest per verified line + three signature-class reservations
     // (admission, re-verify, capsule unwrap) + the attestation quote.
-    const InstallTimingConfig config = timingConfig();
     EXPECT_EQ(engine.reservedOperations(),
-              2 * plan.verify_lines + 3 * config.signature_engine_ops +
-                  config.attest_engine_ops);
+              2 * plan.verify_lines +
+                  4 * InstallTiming::kSignatureEngineOps);
 }
 
 TEST(InstallTiming, AdvanceIsSelfPacedAndMonotonic)
 {
     mem::MemoryChannel channel{mem::ChannelConfig{}};
     crypto::CryptoEngineModel engine{crypto::CryptoEngineConfig{}};
-    InstallTiming timing(timingConfig(), channel, engine);
+    InstallTiming timing(channel, engine, kLine);
     timing.start(InstallPlan::fromImageBytes(16 * kLine, kLine), 0);
 
     // Advancing a little at a time must make monotonic progress and
@@ -159,6 +155,150 @@ TEST(InstallTiming, AdvanceIsSelfPacedAndMonotonic)
         << "work must still be pending mid-replay";
 }
 
+// ------------------------------------------------------ exact cycles
+
+/** The phases are contiguous: their accounts sum to the install. */
+void
+expectPhasesSumToInstall(const InstallTiming &timing)
+{
+    uint64_t sum = 0;
+    for (size_t i = 0; i < static_cast<size_t>(InstallPhase::Idle); ++i)
+        sum += timing.phaseCycles(static_cast<InstallPhase>(i));
+    EXPECT_EQ(sum, timing.installCycles());
+}
+
+/** Idle-machine replay of a 64 KB synthetic plan on the paper
+ *  machine's channel and an @p crypto_latency engine. */
+uint64_t
+timingReplayCycles(InstallPacing pacing, uint32_t crypto_latency)
+{
+    sim::SystemConfig config =
+        sim::paperConfig(secure::SecurityModel::OtpSnc);
+    config.protection.crypto.latency = crypto_latency;
+    mem::MemoryChannel channel(config.channel);
+    crypto::CryptoEngineModel engine(config.protection.crypto);
+    InstallTiming timing(channel, engine, kLine, pacing);
+    timing.start(InstallPlan::fromImageBytes(64ull << 10, kLine), 0);
+    const uint64_t end = timing.replay();
+    EXPECT_EQ(timing.installCycles(), end);
+    expectPhasesSumToInstall(timing);
+    return end;
+}
+
+/** Vendor keys, a base release and a delta-shipped successor. */
+struct ReleaseRig
+{
+    util::Rng rng{0xC1C1E};
+    ImageBuilder vendor{crypto::rsaGenerate(512, rng)};
+    crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
+    UpdateBundle base;
+    UpdateBundle next;
+    DeltaBundle delta;
+
+    ReleaseRig()
+    {
+        constexpr uint64_t kImageBase = 0x0800'0000;
+        xom::PlainProgram program;
+        program.title = "fw";
+        program.entry_point = kImageBase;
+        xom::PlainProgram::PlainSection text;
+        text.name = ".text";
+        text.vaddr = kImageBase;
+        text.bytes.resize(32ull << 10);
+        util::Rng fill(0xF111);
+        for (auto &byte : text.bytes)
+            byte = static_cast<uint8_t>(fill.nextRange(256));
+        program.sections = {text};
+
+        UpdateSpec spec;
+        spec.image_version = 1;
+        spec.rollback_counter = 1;
+        spec.line_size = kLine;
+        util::Rng base_rng(0xB0B0);
+        base = vendor.build(program, spec, processor.pub, base_rng);
+
+        // Every tenth 64-byte block changes in the successor.
+        for (size_t i = 0; i < program.sections[0].bytes.size();
+             i += 640)
+            program.sections[0].bytes[i] ^= 0x5A;
+        spec.image_version = 2;
+        spec.rollback_counter = 2;
+        spec.base_digest = sha256DigestOfImage(base.image);
+        util::Rng next_rng(0xB0B0);
+        next = vendor.build(program, spec, processor.pub, next_rng);
+        delta = vendor.buildDelta(base, next);
+    }
+};
+
+/** Idle-machine LiveInstall replays of @p rig's full base install and
+ *  then its delta successor over one fixed seeded lossy downlink.
+ *  @return {full cycles, delta cycles}. */
+std::pair<uint64_t, uint64_t>
+liveReplayCycles(const ReleaseRig &rig)
+{
+    sim::SystemConfig config =
+        sim::paperConfig(secure::SecurityModel::OtpSnc);
+    sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
+                                    config.l2.line_size);
+    sim::System system(config, workload);
+    secure::KeyTable keys;
+    RollbackStore rollback(64);
+    UpdateEngine updater(rig.vendor.publicKey(), rig.processor, keys,
+                         rollback,
+                         StagingConfig{0x4000'0000, 1ull << 20});
+
+    LiveInstallConfig live_config;
+    live_config.line_bytes = kLine;
+    live_config.pacing = InstallPacing::Arbiter;
+    live_config.transport.chunk_bytes = 1024;
+    live_config.transport.cycles_per_chunk = 256;
+    live_config.transport.loss_rate = 0.05;
+    live_config.transport.burst_length = 2.0;
+    live_config.transport.reorder_rate = 0.05;
+    live_config.transport.retransmit_delay = 4096;
+    live_config.transport.seed = 0x5EED;
+    LiveInstall live(live_config, system, updater, 1);
+
+    live.start(rig.base, 0);
+    const uint64_t full_end = live.replay();
+    EXPECT_EQ(live.phase(), LiveInstallPhase::Done);
+    const uint64_t full = live.installCycles();
+    EXPECT_EQ(full_end, full);
+    expectPhasesSumToInstall(live);
+
+    live.startDelta(rig.delta, full_end);
+    const uint64_t delta_end = live.replay();
+    EXPECT_EQ(live.phase(), LiveInstallPhase::Done);
+    EXPECT_EQ(delta_end - full_end, live.installCycles());
+    expectPhasesSumToInstall(live);
+    return {full, live.installCycles()};
+}
+
+TEST(InstallTiming, ExactIdleReplayCycles)
+{
+    // Any change to these numbers changes what every install bench
+    // and the fleet calibration measure: re-record deliberately.
+    EXPECT_EQ(timingReplayCycles(InstallPacing::Fixed,
+                                 crypto::kPaperCryptoLatency),
+              173500u);
+    EXPECT_EQ(timingReplayCycles(InstallPacing::Fixed,
+                                 crypto::kStrongCipherLatency),
+              230180u);
+    EXPECT_EQ(timingReplayCycles(InstallPacing::Arbiter,
+                                 crypto::kPaperCryptoLatency),
+              173500u);
+    EXPECT_EQ(timingReplayCycles(InstallPacing::Arbiter,
+                                 crypto::kStrongCipherLatency),
+              230180u);
+
+    // LiveInstall's timing is where the executor's rules come from:
+    // its cycles must never move silently.
+    const ReleaseRig rig;
+    const auto [full, delta] = liveReplayCycles(rig);
+    EXPECT_EQ(full, 95822u);
+    EXPECT_EQ(delta, 96564u);
+}
+
 // ------------------------------------------------------- interference
 
 uint64_t
@@ -172,9 +312,8 @@ foregroundCycles(uint32_t crypto_latency, bool background_install)
     sim::SyntheticWorkload workload(profile, config.l2.line_size);
     sim::System system(config, workload);
 
-    InstallTimingConfig itc;
-    itc.line_bytes = config.l2.line_size;
-    InstallTiming timing(itc, system.channel(), system.cryptoEngine());
+    InstallTiming timing(system.channel(), system.cryptoEngine(),
+                         config.l2.line_size);
     if (background_install) {
         timing.start(InstallPlan::fromImageBytes(1ull << 20,
                                                  config.l2.line_size),

@@ -364,11 +364,10 @@ foregroundCycles(uint32_t crypto_latency, const char *mode)
                                     config.l2.line_size);
     sim::System system(config, workload);
 
-    // Fixed pacing: the PR-4 InstallTiming replay, repeating 256KB
+    // Fixed pacing: the bare InstallTiming executor, repeating 256KB
     // installs for the whole run.
-    InstallTimingConfig itc;
-    itc.line_bytes = config.l2.line_size;
-    InstallTiming fixed(itc, system.channel(), system.cryptoEngine());
+    InstallTiming fixed(system.channel(), system.cryptoEngine(),
+                        config.l2.line_size);
 
     // Self-throttled: the unified-plane agent, same 256KB image.
     KeyRing ring(0x5EED);
