@@ -31,20 +31,14 @@
 #include "exp/cell_cache.hh"
 #include "exp/cli.hh"
 #include "sim/profiles.hh"
-#include "update/delta.hh"
-#include "update/image_builder.hh"
-#include "update/live_install.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 
 using namespace secproc;
 
 namespace
 {
 
-constexpr uint32_t kLine = 128;
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 8ull << 20;
-constexpr uint64_t kImageBase = 0x0800'0000;
+constexpr update::StagingConfig kStaging{0x4000'0000, 8ull << 20};
 
 struct GridPoint
 {
@@ -96,39 +90,14 @@ downlink(bool slow)
     return transport;
 }
 
-/** Payload generation @p generation: gen 1 fresh random, each later
- *  one rewrites change_fraction of its predecessor's 64B blocks. */
-xom::PlainProgram
-makeProgram(uint64_t seed, uint64_t image_bytes, uint32_t generation,
-            double change_fraction)
+/** Payload generation @p generation of the image keyed by @p seed. */
+std::vector<uint8_t>
+payload(uint64_t seed, uint64_t image_bytes, uint32_t generation,
+        double change_fraction)
 {
-    constexpr uint64_t kBlock = 64;
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(image_bytes);
-    util::Rng fill(seed ^ 0xF111);
-    for (auto &byte : text.bytes)
-        byte = static_cast<uint8_t>(fill.nextRange(256));
-    const uint64_t blocks = (image_bytes + kBlock - 1) / kBlock;
-    const auto changed = static_cast<uint64_t>(
-        static_cast<double>(blocks) * change_fraction);
-    for (uint32_t gen = 2; gen <= generation; ++gen) {
-        util::Rng mutate(seed ^ (0xD1FFull + gen));
-        for (uint64_t c = 0; c < changed; ++c) {
-            const uint64_t block = mutate.nextRange(blocks);
-            for (uint64_t i = block * kBlock;
-                 i < std::min(block * kBlock + kBlock, image_bytes);
-                 ++i)
-                text.bytes[i] =
-                    static_cast<uint8_t>(mutate.nextRange(256));
-        }
-    }
-    program.sections = {text};
-    return program;
+    return update::payloadGeneration(
+        image_bytes, generation, change_fraction, seed ^ 0xF111,
+        [seed](uint32_t gen) { return seed ^ (0xD1FFull + gen); });
 }
 
 /**
@@ -140,40 +109,36 @@ makeProgram(uint64_t seed, uint64_t image_bytes, uint32_t generation,
  */
 struct VendorContext
 {
-    util::Rng rng;
-    update::ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
+    update::FirmwareVendor vendor;
     update::UpdateBundle base;
     update::UpdateBundle next;
     update::DeltaBundle delta;
 
     VendorContext(uint64_t image_bytes, double change_fraction)
-        : rng(0xDE17A'0001 ^ image_bytes ^
-              static_cast<uint64_t>(change_fraction * 1000.0)),
-          vendor(crypto::rsaGenerate(512, rng)),
-          processor(crypto::rsaGenerate(512, rng))
+        : vendor(0xDE17A'0001 ^ image_bytes ^
+                 static_cast<uint64_t>(change_fraction * 1000.0))
     {
-        const uint64_t key_seed = rng.next64();
+        const uint64_t key_seed = vendor.rng.next64();
         update::UpdateSpec spec;
         spec.image_version = 1;
         spec.rollback_counter = 1;
-        spec.cipher = secure::CipherKind::Des;
-        spec.line_size = kLine;
 
         util::Rng rng_base(key_seed);
-        base = vendor.build(
-            makeProgram(key_seed, image_bytes, 1, change_fraction),
-            spec, processor.pub, rng_base);
+        base = update::firmwareBundle(
+            vendor.builder, vendor.processor.pub, spec,
+            payload(key_seed, image_bytes, 1, change_fraction),
+            rng_base);
 
         spec.image_version = 2;
         spec.rollback_counter = 2;
         spec.base_digest = update::sha256DigestOfImage(base.image);
         util::Rng rng_next(key_seed);
-        next = vendor.build(
-            makeProgram(key_seed, image_bytes, 2, change_fraction),
-            spec, processor.pub, rng_next);
+        next = update::firmwareBundle(
+            vendor.builder, vendor.processor.pub, spec,
+            payload(key_seed, image_bytes, 2, change_fraction),
+            rng_next);
 
-        delta = vendor.buildDelta(base, next);
+        delta = vendor.builder.buildDelta(base, next);
     }
 };
 
@@ -220,12 +185,6 @@ shipRelease(const std::string &bench, const GridPoint &point,
 {
     const sim::SystemConfig config =
         machineConfig(point.crypto_latency);
-    secure::KeyTable update_keys;
-    update::RollbackStore rollback(64);
-    update::UpdateEngine updater(
-        ctx.vendor.publicKey(), ctx.processor, update_keys, rollback,
-        update::StagingConfig{kStagingBase, kSlotSize});
-
     sim::SyntheticWorkload workload(sim::benchmarkProfile(bench),
                                     config.l2.line_size);
     sim::System system(config, workload);
@@ -234,14 +193,13 @@ shipRelease(const std::string &bench, const GridPoint &point,
     live_config.line_bytes = config.l2.line_size;
     live_config.pacing = update::InstallPacing::Arbiter;
     live_config.transport = downlink(point.slow_link);
-    update::LiveInstall live(live_config, system, updater, 1);
-    system.attachAgent(&live);
+    update::DeviceRig device(ctx.vendor.builder.publicKey(),
+                             ctx.vendor.processor, system, live_config,
+                             kStaging);
+    update::LiveInstall &live = device.live();
 
     ShipResult result;
-    if (!updater
-             .install(ctx.base, 1, system.mainMemory(),
-                      system.virtualMemory(), 1, system.engine())
-             .ok())
+    if (!device.install(ctx.base).ok())
         return result;
 
     system.run(options.warmup_instructions);
@@ -278,10 +236,7 @@ shipRelease(const std::string &bench, const GridPoint &point,
     if (!result.done)
         return result;
 
-    std::vector<uint8_t> got(reference_slot.size());
-    system.mainMemory().read(updater.slotBase(updater.activeSlot()),
-                             got.data(), got.size());
-    result.identical = got == reference_slot;
+    result.identical = device.activeSlotBytes() == reference_slot;
     system.channel().assertFullyAttributed();
     return result;
 }
@@ -299,33 +254,13 @@ makeCell(const GridPoint &point)
 
         // Pure functional full-bundle install: the byte-identity
         // reference both shipping modes must reproduce.
-        std::vector<uint8_t> reference_slot;
-        {
-            secure::KeyTable keys;
-            mem::MemoryChannel channel(config.channel);
-            secure::ProtectionConfig protection = config.protection;
-            protection.line_size = config.l2.line_size;
-            auto engine =
-                secure::makeProtectionEngine(protection, channel, keys);
-            update::RollbackStore rollback(64);
-            update::UpdateEngine reference(
-                ctx.vendor.publicKey(), ctx.processor, keys, rollback,
-                update::StagingConfig{kStagingBase, kSlotSize});
-            mem::MainMemory memory;
-            mem::VirtualMemory vm;
-            if (!reference
-                     .install(ctx.base, 1, memory, vm, 1, *engine)
-                     .ok() ||
-                !reference
-                     .install(ctx.next, 1, memory, vm, 1, *engine)
-                     .ok())
-                return exp::CellOutput{};
-            reference_slot.resize(update::kSlotHeaderBytes +
-                                  ctx.next.serializedSize());
-            memory.read(
-                reference.slotBase(reference.activeSlot()),
-                reference_slot.data(), reference_slot.size());
-        }
+        update::DeviceRig reference(ctx.vendor.builder.publicKey(),
+                                    ctx.vendor.processor, kStaging);
+        if (!reference.install(ctx.base).ok() ||
+            !reference.install(ctx.next).ok())
+            return exp::CellOutput{};
+        const std::vector<uint8_t> reference_slot =
+            reference.activeSlotBytes();
 
         // Pass 1 — probe each mode to completion, then size ONE
         // window long enough for the slower of the two. A fixed

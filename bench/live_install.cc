@@ -31,19 +31,14 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/profiles.hh"
-#include "update/image_builder.hh"
-#include "update/install_timing.hh"
-#include "update/live_install.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 
 using namespace secproc;
 
 namespace
 {
 
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 8ull << 20;
-constexpr uint64_t kImageBase = 0x0800'0000;
+constexpr update::StagingConfig kStaging{0x4000'0000, 8ull << 20};
 
 struct GridPoint
 {
@@ -82,25 +77,21 @@ downlink()
     return transport;
 }
 
-update::UpdateBundle
-makeBundle(update::ImageBuilder &vendor,
-           const crypto::RsaPublicKey &processor, util::Rng &rng,
-           uint32_t version, uint64_t image_bytes)
+uint64_t
+vendorSeed(uint64_t image_bytes, uint32_t crypto_latency)
 {
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(image_bytes, static_cast<uint8_t>(version));
-    program.sections = {text};
+    return 0x11E'0001 ^ image_bytes ^ crypto_latency;
+}
 
-    update::UpdateSpec spec;
-    spec.image_version = version;
-    spec.rollback_counter = version;
-    spec.cipher = secure::CipherKind::Des;
-    return vendor.build(program, spec, processor, rng);
+/** Every live install here: arbiter-paced over downlink(). */
+update::LiveInstallConfig
+liveConfig(const sim::SystemConfig &config)
+{
+    update::LiveInstallConfig live_config;
+    live_config.line_bytes = config.l2.line_size;
+    live_config.pacing = update::InstallPacing::Arbiter;
+    live_config.transport = downlink();
+    return live_config;
 }
 
 /**
@@ -115,17 +106,13 @@ makeBundle(update::ImageBuilder &vendor,
  */
 struct VendorContext
 {
-    util::Rng rng;
-    update::ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
+    update::FirmwareVendor vendor;
     uint64_t image_bytes;
     std::vector<update::UpdateBundle> bundles;
     std::mutex mutex;
 
     VendorContext(uint64_t bytes, uint32_t crypto_latency)
-        : rng(0x11E'0001 ^ bytes ^ crypto_latency),
-          vendor(crypto::rsaGenerate(512, rng)),
-          processor(crypto::rsaGenerate(512, rng)), image_bytes(bytes)
+        : vendor(vendorSeed(bytes, crypto_latency)), image_bytes(bytes)
     {
     }
 
@@ -134,10 +121,8 @@ struct VendorContext
     {
         std::lock_guard<std::mutex> lock(mutex);
         while (bundles.size() < version) {
-            bundles.push_back(makeBundle(
-                vendor, processor.pub, rng,
-                static_cast<uint32_t>(bundles.size()) + 1,
-                image_bytes));
+            bundles.push_back(vendor.release(
+                static_cast<uint32_t>(bundles.size()) + 1, image_bytes));
         }
         return bundles[version - 1];
     }
@@ -206,40 +191,20 @@ makeCell(const GridPoint &point)
         // The live machine: functional updater + unified-plane agent.
         VendorContext &ctx =
             vendorContext(point.image_bytes, point.crypto_latency);
-        update::ImageBuilder &vendor = ctx.vendor;
-        const crypto::RsaKeyPair &processor = ctx.processor;
-        secure::KeyTable update_keys;
-        update::RollbackStore rollback(64);
-        update::UpdateEngine updater(
-            vendor.publicKey(), processor, update_keys, rollback,
-            update::StagingConfig{kStagingBase, kSlotSize});
-
+        const update::FirmwareVendor &vendor = ctx.vendor;
         const sim::WorkloadProfile profile =
             sim::benchmarkProfile(bench);
         sim::SyntheticWorkload workload(profile, config.l2.line_size);
         sim::System system(config, workload);
-
-        update::LiveInstallConfig live_config;
-        live_config.line_bytes = config.l2.line_size;
-        live_config.pacing = update::InstallPacing::Arbiter;
-        live_config.transport = downlink();
-        update::LiveInstall live(live_config, system, updater, 1);
-        system.attachAgent(&live);
+        update::DeviceRig device(vendor.builder.publicKey(),
+                                 vendor.processor, system,
+                                 liveConfig(config), kStaging);
+        update::LiveInstall &live = device.live();
 
         // Pure functional reference device for the differential
         // verdict of every completed install.
-        secure::KeyTable ref_keys;
-        update::RollbackStore ref_rollback(64);
-        mem::MemoryChannel ref_channel(config.channel);
-        secure::ProtectionConfig ref_protection = config.protection;
-        ref_protection.line_size = config.l2.line_size;
-        auto ref_engine = secure::makeProtectionEngine(
-            ref_protection, ref_channel, ref_keys);
-        update::UpdateEngine reference(
-            vendor.publicKey(), processor, ref_keys, ref_rollback,
-            update::StagingConfig{kStagingBase, kSlotSize});
-        mem::MainMemory ref_memory;
-        mem::VirtualMemory ref_vm;
+        update::DeviceRig reference(vendor.builder.publicKey(),
+                                    vendor.processor, kStaging);
 
         uint32_t version = 1;
         bool functional_ok = true;
@@ -262,28 +227,16 @@ makeCell(const GridPoint &point)
                     live.phase() == update::LiveInstallPhase::Done;
                 if (!functional_ok)
                     return;
-                const bool ref_ok =
-                    reference
-                        .install(*current, 1, ref_memory, ref_vm, 1,
-                                 *ref_engine)
-                        .ok();
-                // == kSlotHeaderBytes + serialized bundle size,
-                // without re-serializing the multi-MB image.
-                const uint64_t framed = live.stagedBytesWritten();
-                std::vector<uint8_t> want(framed);
-                std::vector<uint8_t> got(framed);
-                ref_memory.read(
-                    reference.slotBase(reference.activeSlot()),
-                    want.data(), want.size());
-                system.mainMemory().read(
-                    updater.slotBase(updater.activeSlot()),
-                    got.data(), got.size());
                 functional_ok &=
-                    ref_ok && want == got &&
-                    updater.activeManifest()->serialize() ==
-                        reference.activeManifest()->serialize() &&
-                    rollback.current("fw") ==
-                        ref_rollback.current("fw");
+                    reference.install(*current).ok() &&
+                    device.activeSlotBytes() ==
+                        reference.activeSlotBytes() &&
+                    device.updater().activeManifest()->serialize() ==
+                        reference.updater()
+                            .activeManifest()
+                            ->serialize() &&
+                    device.rollback().current("fw") ==
+                        reference.rollback().current("fw");
                 ++completed;
                 current = &ctx.bundle(++version);
                 live.start(*current, system.core().cycles());
@@ -342,32 +295,21 @@ runTracedExemplar(const exp::BenchCli &cli)
     const sim::SystemConfig config =
         machineConfig(point.crypto_latency);
 
-    util::Rng rng(0x11E'0001 ^ point.image_bytes ^
-                  point.crypto_latency);
-    update::ImageBuilder vendor(crypto::rsaGenerate(512, rng));
-    const crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
-    secure::KeyTable update_keys;
-    update::RollbackStore rollback(64);
-    update::UpdateEngine updater(
-        vendor.publicKey(), processor, update_keys, rollback,
-        update::StagingConfig{kStagingBase, kSlotSize});
-
+    update::FirmwareVendor vendor(
+        vendorSeed(point.image_bytes, point.crypto_latency));
     sim::SyntheticWorkload workload(sim::benchmarkProfile(bench),
                                     config.l2.line_size);
     sim::System system(config, workload);
-
-    update::LiveInstallConfig live_config;
-    live_config.line_bytes = config.l2.line_size;
-    live_config.pacing = update::InstallPacing::Arbiter;
-    live_config.transport = downlink();
-    update::LiveInstall live(live_config, system, updater, 1);
+    update::DeviceRig device(vendor.builder.publicKey(),
+                             vendor.processor, system, liveConfig(config),
+                             kStaging);
+    update::LiveInstall &live = device.live();
 
     obs::TraceSink trace;
     system.setTraceSink(&trace);
-    system.attachAgent(&live);
 
     const update::UpdateBundle bundle =
-        makeBundle(vendor, processor.pub, rng, 1, point.image_bytes);
+        vendor.release(1, point.image_bytes);
     live.start(bundle, 0);
     while (!live.done())
         system.run(10'000);

@@ -15,11 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include "exp/runner.hh"
-#include "secure/engines.hh"
 #include "update/attestation.hh"
-#include "update/image_builder.hh"
-#include "update/update_engine.hh"
-#include "xom/vendor_tool.hh"
+#include "update/device_rig.hh"
 
 namespace
 {
@@ -32,49 +29,29 @@ constexpr uint32_t kLine = 128;
 /** Everything needed to exercise one device under update load. */
 struct Rig
 {
-    util::Rng rng{99};
-    ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    std::unique_ptr<secure::ProtectionEngine> engine;
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    RollbackStore rollback{4096};
-    std::unique_ptr<UpdateEngine> updater;
+    FirmwareVendor vendor{99};
+    DeviceRig device{vendor.builder.publicKey(), vendor.processor,
+                     StagingConfig{0x4000'0000, 64ull << 20}, 4096};
 
-    Rig() : vendor(crypto::rsaGenerate(512, rng))
+    Rig()
     {
-        processor = crypto::rsaGenerate(512, rng);
-        secure::ProtectionConfig config;
-        config.line_size = kLine;
-        config.snc.l2_line_size = kLine;
-        engine = secure::makeProtectionEngine(config, channel, keys);
-        updater = std::make_unique<UpdateEngine>(
-            vendor.publicKey(), processor, keys, rollback,
-            StagingConfig{0x4000'0000, 64ull << 20});
-        updater->setAttestationKey(crypto::rsaGenerate(512, rng));
+        device.updater().setAttestationKey(
+            crypto::rsaGenerate(512, vendor.rng));
     }
 
     UpdateBundle
     bundle(const std::string &title, uint32_t version,
            uint64_t counter, size_t lines, secure::CipherKind cipher)
     {
-        xom::PlainProgram program;
-        program.title = title;
-        program.entry_point = 0x400000;
-        xom::PlainProgram::PlainSection text;
-        text.name = ".text";
-        text.vaddr = 0x400000;
-        text.bytes.resize(lines * kLine,
-                          static_cast<uint8_t>(version));
-        program.sections = {text};
-
         UpdateSpec spec;
         spec.image_version = version;
         spec.rollback_counter = counter;
         spec.cipher = cipher;
-        return vendor.build(program, spec, processor.pub, rng);
+        return firmwareBundle(
+            vendor.builder, vendor.processor.pub, spec,
+            std::vector<uint8_t>(lines * kLine,
+                                 static_cast<uint8_t>(version)),
+            vendor.rng, title, 0x400000);
     }
 };
 
@@ -87,7 +64,7 @@ benchVerify(benchmark::State &state)
         rig.bundle("fw", 1, 1, static_cast<size_t>(state.range(0)),
                    secure::CipherKind::Des);
     for (auto _ : state) {
-        const VerifyResult result = rig.updater->verify(bundle);
+        const VerifyResult result = rig.device.updater().verify(bundle);
         benchmark::DoNotOptimize(result);
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -111,8 +88,7 @@ benchInstall(benchmark::State &state)
                        counter + 1, lines, secure::CipherKind::Des);
         state.ResumeTiming();
 
-        const InstallResult result = rig.updater->install(
-            bundle, 1, rig.memory, rig.vm, 1, *rig.engine);
+        const InstallResult result = rig.device.install(bundle);
         benchmark::DoNotOptimize(result);
         ++counter;
         bytes += bundle.image.totalBytes();
@@ -164,9 +140,8 @@ benchMultiCompartmentSweep(benchmark::State &state)
                      static_cast<secure::CompartmentId>(s + 1);
                  c <= compartments;
                  c = static_cast<secure::CompartmentId>(c + shards)) {
-                const InstallResult result = rig.updater->install(
-                    wave[c - 1], c, rig.memory, rig.vm, c,
-                    *rig.engine);
+                const InstallResult result =
+                    rig.device.install(wave[c - 1], c);
                 benchmark::DoNotOptimize(result);
             }
         });
@@ -187,7 +162,7 @@ benchVerifyCipher(benchmark::State &state)
     Rig rig;
     const UpdateBundle bundle = rig.bundle("fw", 1, 1, 64, kKind);
     for (auto _ : state) {
-        const VerifyResult result = rig.updater->verify(bundle);
+        const VerifyResult result = rig.device.updater().verify(bundle);
         benchmark::DoNotOptimize(result);
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -202,15 +177,14 @@ benchAttest(benchmark::State &state)
     Rig rig;
     const UpdateBundle bundle =
         rig.bundle("fw", 1, 1, 8, secure::CipherKind::Des);
-    const InstallResult installed = rig.updater->install(
-        bundle, 1, rig.memory, rig.vm, 1, *rig.engine);
+    const InstallResult installed = rig.device.install(bundle);
     if (!installed.ok())
         state.SkipWithError("install failed");
     Digest nonce = {};
     for (auto _ : state) {
         nonce[0]++;
         const AttestationQuote quote =
-            attest(*rig.updater, 1, nonce);
+            attest(rig.device.updater(), 1, nonce);
         benchmark::DoNotOptimize(quote);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -18,10 +18,8 @@
 #include <iostream>
 #include <string>
 
-#include "secure/engines.hh"
 #include "update/attestation.hh"
-#include "update/image_builder.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 #include "util/strutil.hh"
 #include "xom/secure_loader.hh"
 
@@ -32,21 +30,7 @@ namespace
 {
 
 constexpr uint32_t kLine = 128;
-
-xom::PlainProgram
-release(uint32_t version, util::Rng &rng)
-{
-    xom::PlainProgram program;
-    program.title = "firmware";
-    program.entry_point = 0x400000;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = 0x400000;
-    text.bytes.resize(8 * kLine, static_cast<uint8_t>(version));
-    rng.fillBytes(text.bytes.data(), 4 * kLine);
-    program.sections = {text};
-    return program;
-}
+constexpr uint64_t kEntry = 0x400000;
 
 void
 show(const std::string &what, const VerifyResult &result)
@@ -73,17 +57,8 @@ main()
         crypto::rsaGenerate(512, rng);
     const crypto::RsaKeyPair other_key = crypto::rsaGenerate(512, rng);
 
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    secure::ProtectionConfig config;
-    config.line_size = kLine;
-    config.snc.l2_line_size = kLine;
-    auto engine = secure::makeProtectionEngine(config, channel, keys);
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    RollbackStore rollback;
-    UpdateEngine updater(vendor.publicKey(), device_key, keys,
-                         rollback);
+    DeviceRig device(vendor.publicKey(), device_key);
+    UpdateEngine &updater = device.updater();
     updater.setAttestationKey(device_attestation_key);
 
     std::cout << "secure update walkthrough\n"
@@ -91,20 +66,28 @@ main()
               << util::toHex(updater.processorIdentity().data(), 16)
               << "...\n\n";
 
-    // 1. First install.
+    // Each release: four random lines, then four of its version byte.
     UpdateSpec spec;
+    auto release = [&](const ImageBuilder &builder,
+                       const crypto::RsaPublicKey &target) {
+        std::vector<uint8_t> text(8 * kLine,
+                                  static_cast<uint8_t>(spec.image_version));
+        rng.fillBytes(text.data(), 4 * kLine);
+        return firmwareBundle(builder, target, spec, std::move(text), rng,
+                              "firmware", kEntry);
+    };
+
+    // 1. First install.
     spec.image_version = 1;
     spec.rollback_counter = 1;
-    const UpdateBundle v1 =
-        vendor.build(release(1, rng), spec, device_key.pub, rng);
-    auto installed =
-        updater.install(v1, 1, memory, vm, 1, *engine);
+    const UpdateBundle v1 = release(vendor, device_key.pub);
+    auto installed = device.install(v1);
     std::cout << "1. install v1 -> " << updateStatusName(installed.status)
               << ", slot " << (installed.slot == 0 ? "A" : "B") << "\n";
 
-    xom::SecureLoader loader(device_key.priv, keys);
-    auto line = loader.fetchLine(0x400000 + 5 * kLine, memory, vm, 1,
-                                 *engine, true);
+    xom::SecureLoader loader(device_key.priv, device.keys());
+    auto line = loader.fetchLine(kEntry + 5 * kLine, device.memory(),
+                                 device.vm(), 1, device.engine(), true);
     std::cout << "   fetched text byte: "
               << util::formatHex(line[0]) << " (vendor wrote "
               << util::formatHex(1) << ")\n";
@@ -112,9 +95,8 @@ main()
     // 2. Routine upgrade.
     spec.image_version = 2;
     spec.rollback_counter = 2;
-    const UpdateBundle v2 =
-        vendor.build(release(2, rng), spec, device_key.pub, rng);
-    installed = updater.install(v2, 1, memory, vm, 1, *engine);
+    const UpdateBundle v2 = release(vendor, device_key.pub);
+    installed = device.install(v2);
     std::cout << "2. install v2 -> " << updateStatusName(installed.status)
               << ", slot " << (installed.slot == 0 ? "A" : "B")
               << " (A/B alternation)\n";
@@ -134,32 +116,29 @@ main()
     // 5. Image keyed and targeted to a different processor.
     spec.image_version = 3;
     spec.rollback_counter = 3;
-    const UpdateBundle for_other =
-        vendor.build(release(3, rng), spec, other_key.pub, rng);
+    const UpdateBundle for_other = release(vendor, other_key.pub);
     show("5. other device's image", updater.verify(for_other));
 
     // 6. Impostor vendor: right target, wrong signing key.
     ImageBuilder impostor(crypto::rsaGenerate(512, rng));
-    const UpdateBundle forged =
-        impostor.build(release(3, rng), spec, device_key.pub, rng);
+    const UpdateBundle forged = release(impostor, device_key.pub);
     show("6. impostor signature  ", updater.verify(forged));
 
     // 7. Interrupted staging write: stage v3, corrupt the staged
     //    copy, try to activate — then recover.
-    const UpdateBundle v3 =
-        vendor.build(release(3, rng), spec, device_key.pub, rng);
-    updater.stage(v3, memory);
+    const UpdateBundle v3 = release(vendor, device_key.pub);
+    updater.stage(v3, device.memory());
     const uint64_t slot_base =
         0x4000'0000 + updater.stagingSlot() * (8ull << 20);
     for (uint64_t off = 100; off < 200; ++off)
-        memory.corruptByte(slot_base + off, 0x5A);
-    auto activated = updater.activate(1, memory, vm, 1, *engine);
+        device.memory().corruptByte(slot_base + off, 0x5A);
+    auto activated = device.activate();
     std::cout << "  7. interrupted staging -> "
               << updateStatusName(activated.status)
               << "; active image still v"
               << updater.activeManifest()->image_version << "\n";
-    updater.stage(v3, memory);
-    activated = updater.activate(1, memory, vm, 1, *engine);
+    updater.stage(v3, device.memory());
+    activated = device.activate();
     std::cout << "     re-staged cleanly   -> "
               << updateStatusName(activated.status) << "; active v"
               << updater.activeManifest()->image_version << "\n";
@@ -183,6 +162,6 @@ main()
               << "\n";
 
     std::cout << "\nrollback bank: firmware counter = "
-              << rollback.current("firmware") << "\n";
+              << device.rollback().current("firmware") << "\n";
     return 0;
 }

@@ -17,20 +17,6 @@ namespace secproc::exp
 namespace
 {
 
-/**
- * Completeness tripwire: configDigest() must name every SystemConfig
- * field, or two different machines could alias one cache entry. A
- * new field changes the struct size, which trips this assert until
- * the digest (and then this constant) is updated. Layout is
- * ABI-specific, so the check only runs on the x86-64 System V ABI
- * the CI matrix builds.
- */
-#if defined(__x86_64__) && defined(__linux__)
-static_assert(sizeof(sim::SystemConfig) == 352,
-              "SystemConfig changed: extend exp::configDigest() with "
-              "the new field(s), then update this expected size");
-#endif
-
 void
 cacheField(std::ostringstream &out, const char *name, uint64_t value)
 {
@@ -41,9 +27,9 @@ void
 cacheCache(std::ostringstream &out, const char *prefix,
            const mem::CacheConfig &cache)
 {
-    out << prefix << "={" << cache.name << ',' << cache.size_bytes
-        << ',' << cache.assoc << ',' << cache.line_size << ','
-        << static_cast<int>(cache.policy) << "};";
+    const auto &[name, size_bytes, assoc, line_size, policy] = cache;
+    out << prefix << "={" << name << ',' << size_bytes << ',' << assoc
+        << ',' << line_size << ',' << static_cast<int>(policy) << "};";
 }
 
 std::string
@@ -56,59 +42,74 @@ liveEnvironment(const char *name)
 
 } // namespace
 
+/**
+ * Every config struct is bound field by field, so a field added to
+ * any of them breaks its binding and fails to compile until the
+ * digest names it too: two machines can never alias one cache entry.
+ */
 std::string
 configDigest(const sim::SystemConfig &config)
 {
+    const auto &[core, l1i, l1d, l2, channel, protection, cipher, mshrs,
+                 functional] = config;
     std::ostringstream out;
 
-    cacheField(out, "core.rob", config.core.rob_size);
-    cacheField(out, "core.width", config.core.width);
-    cacheField(out, "core.redirect", config.core.redirect_penalty);
-    cacheField(out, "core.int", config.core.int_latency);
-    cacheField(out, "core.mul", config.core.mul_latency);
-    cacheField(out, "core.fp", config.core.fp_latency);
-    cacheField(out, "core.blocking", config.core.blocking_loads);
+    const auto &[rob, width, redirect, int_latency, mul_latency,
+                 fp_latency, blocking_loads] = core;
+    cacheField(out, "core.rob", rob);
+    cacheField(out, "core.width", width);
+    cacheField(out, "core.redirect", redirect);
+    cacheField(out, "core.int", int_latency);
+    cacheField(out, "core.mul", mul_latency);
+    cacheField(out, "core.fp", fp_latency);
+    cacheField(out, "core.blocking", blocking_loads);
 
-    cacheCache(out, "l1i", config.l1i);
-    cacheCache(out, "l1d", config.l1d);
-    cacheCache(out, "l2", config.l2);
+    cacheCache(out, "l1i", l1i);
+    cacheCache(out, "l1d", l1d);
+    cacheCache(out, "l2", l2);
 
-    const mem::ChannelConfig &ch = config.channel;
-    cacheField(out, "ch.access", ch.access_latency);
-    cacheField(out, "ch.transfer", ch.transfer_cycles);
-    cacheField(out, "ch.small_transfer", ch.small_transfer_cycles);
-    cacheField(out, "ch.wbuf", ch.write_buffer_entries);
-    cacheField(out, "ch.line_bytes", ch.line_bytes);
-    cacheField(out, "ch.small_bytes", ch.small_bytes);
-    cacheField(out, "ch.starve", ch.bg_starvation_bound);
-    cacheField(out, "ch.use_dram", ch.use_dram);
-    cacheField(out, "dram.banks", ch.dram.num_banks);
-    cacheField(out, "dram.row_bytes", ch.dram.row_bytes);
-    cacheField(out, "dram.hit", ch.dram.row_hit_latency);
-    cacheField(out, "dram.miss", ch.dram.row_miss_latency);
-    cacheField(out, "dram.conflict", ch.dram.row_conflict_latency);
-    cacheField(out, "dram.busy", ch.dram.bank_busy_cycles);
-    cacheField(out, "dram.closed", ch.dram.closed_page);
+    const auto &[access, transfer, small_transfer, wbuf, line_bytes,
+                 small_bytes, starve, use_dram, dram] = channel;
+    cacheField(out, "ch.access", access);
+    cacheField(out, "ch.transfer", transfer);
+    cacheField(out, "ch.small_transfer", small_transfer);
+    cacheField(out, "ch.wbuf", wbuf);
+    cacheField(out, "ch.line_bytes", line_bytes);
+    cacheField(out, "ch.small_bytes", small_bytes);
+    cacheField(out, "ch.starve", starve);
+    cacheField(out, "ch.use_dram", use_dram);
+    const auto &[banks, row_bytes, hit, miss, conflict, busy,
+                 closed_page] = dram;
+    cacheField(out, "dram.banks", banks);
+    cacheField(out, "dram.row_bytes", row_bytes);
+    cacheField(out, "dram.hit", hit);
+    cacheField(out, "dram.miss", miss);
+    cacheField(out, "dram.conflict", conflict);
+    cacheField(out, "dram.busy", busy);
+    cacheField(out, "dram.closed", closed_page);
 
-    const secure::ProtectionConfig &prot = config.protection;
-    cacheField(out, "prot.model", static_cast<int>(prot.model));
-    cacheField(out, "crypto.latency", prot.crypto.latency);
-    cacheField(out, "crypto.ii", prot.crypto.initiation_interval);
-    cacheField(out, "snc.capacity", prot.snc.capacity_bytes);
-    cacheField(out, "snc.entry_bytes", prot.snc.bytes_per_entry);
-    cacheField(out, "snc.assoc", prot.snc.assoc);
-    cacheField(out, "snc.replace", prot.snc.allow_replacement);
-    cacheField(out, "snc.line", prot.snc.l2_line_size);
-    cacheField(out, "snc.sector", prot.snc.sector_lines);
-    cacheField(out, "prot.parallel_seqnum",
-               prot.parallel_seqnum_fetch);
-    cacheField(out, "prot.pad_predict", prot.pad_prediction);
-    cacheField(out, "prot.pad_entries", prot.pad_buffer_entries);
-    cacheField(out, "prot.line", prot.line_size);
+    const auto &[model, crypto_engine, snc, parallel_seqnum, pad_predict,
+                 pad_entries, prot_line] = protection;
+    const auto &[latency, initiation_interval] = crypto_engine;
+    const auto &[capacity, entry_bytes, snc_assoc, replace, snc_line,
+                 sector] = snc;
+    cacheField(out, "prot.model", static_cast<int>(model));
+    cacheField(out, "crypto.latency", latency);
+    cacheField(out, "crypto.ii", initiation_interval);
+    cacheField(out, "snc.capacity", capacity);
+    cacheField(out, "snc.entry_bytes", entry_bytes);
+    cacheField(out, "snc.assoc", snc_assoc);
+    cacheField(out, "snc.replace", replace);
+    cacheField(out, "snc.line", snc_line);
+    cacheField(out, "snc.sector", sector);
+    cacheField(out, "prot.parallel_seqnum", parallel_seqnum);
+    cacheField(out, "prot.pad_predict", pad_predict);
+    cacheField(out, "prot.pad_entries", pad_entries);
+    cacheField(out, "prot.line", prot_line);
 
-    cacheField(out, "cipher", static_cast<int>(config.cipher));
-    cacheField(out, "mshrs", config.mshrs);
-    cacheField(out, "functional", config.functional);
+    cacheField(out, "cipher", static_cast<int>(cipher));
+    cacheField(out, "mshrs", mshrs);
+    cacheField(out, "functional", functional);
 
     return out.str();
 }

@@ -36,9 +36,9 @@ namespace secproc::exp
 /**
  * Canonical text serialization of every SystemConfig field, suitable
  * as a cache key component: two configs digest equal iff they
- * describe the same machine. Kept exhaustive by a size tripwire in
- * cell_cache.cc — adding a SystemConfig field without extending the
- * digest fails the build there.
+ * describe the same machine. Kept exhaustive by construction: the
+ * digest binds every config struct field by name, so adding a field
+ * without digesting it fails to compile.
  */
 std::string configDigest(const sim::SystemConfig &config);
 

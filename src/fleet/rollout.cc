@@ -8,12 +8,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "secure/key_table.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/live_install.hh"
-#include "update/rollback_store.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 #include "util/logging.hh"
 
 namespace secproc::fleet
@@ -572,19 +569,14 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
                                         config.l2.line_size);
         sim::System system(config, workload);
 
-        secure::KeyTable keys;
-        update::RollbackStore rollback(64);
-        update::UpdateEngine updater(
-            vendor_.vendorPublicKey(), vendor_.deviceClassKey(),
-            keys, rollback,
-            update::StagingConfig{0x4000'0000, 8ull << 20});
-
         update::LiveInstallConfig live_config;
         live_config.line_bytes = config.l2.line_size;
         live_config.pacing = update::InstallPacing::Fixed;
         live_config.transport = link;
-        update::LiveInstall live(live_config, system, updater, 1);
-        system.attachAgent(&live);
+        update::DeviceRig device(
+            vendor_.vendorPublicKey(), vendor_.deviceClassKey(), system,
+            live_config, update::StagingConfig{0x4000'0000, 8ull << 20});
+        update::LiveInstall &live = device.live();
 
         gt.via_delta = release.delta_base_version != 0;
         if (gt.via_delta) {
@@ -594,15 +586,11 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
             // so the live install measures only the delta path.
             const ReleaseInfo &base =
                 vendor_.release(release.delta_base_version);
-            const update::VerifyResult staged =
-                updater.stage(base.bundle, system.mainMemory());
-            fatal_if(!staged.ok(),
-                     "ground-truth base release refused to stage");
-            const update::InstallResult activated = updater.activate(
-                1, system.mainMemory(), system.virtualMemory(),
-                update::LiveInstall::kAsid, system.engine());
-            fatal_if(!activated.ok(),
-                     "ground-truth base release refused to activate");
+            const update::InstallResult installed =
+                device.install(base.bundle);
+            fatal_if(!installed.ok(),
+                     "ground-truth base release refused to install: ",
+                     installed.detail);
             gt.predicted_cycles = predictCleanInstallCycles(
                 release.deltaCost(combo.engine_latency), link,
                 release.delta_framed_bytes);

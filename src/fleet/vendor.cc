@@ -9,10 +9,9 @@
 
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
+#include "update/device_rig.hh"
 #include "update/install_timing.hh"
-#include "update/update_engine.hh"
 #include "util/logging.hh"
-#include "xom/vendor_tool.hh"
 
 namespace secproc::fleet
 {
@@ -61,46 +60,16 @@ namespace
 
 /** The image a given payload generation ships: deterministic bytes
  *  from the vendor seed, so a rollback release byte-matches the
- *  release it reverts to. Generation 1 is a fresh random image;
- *  every later generation rewrites change_fraction of its
- *  predecessor's 64-byte blocks — the similarity a delta bundle
- *  exploits. */
-xom::PlainProgram
-makeProgram(uint64_t vendor_seed, uint32_t payload_version,
-            uint64_t image_bytes, double change_fraction)
+ *  release it reverts to. */
+std::vector<uint8_t>
+payloadBytes(uint64_t vendor_seed, uint32_t payload_version,
+             uint64_t image_bytes, double change_fraction)
 {
-    constexpr uint64_t kImageBase = 0x0800'0000;
-    constexpr uint64_t kBlock = 64;
-    xom::PlainProgram program;
-    program.title = "fleet-fw";
-    program.entry_point = kImageBase;
-
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(image_bytes);
-    util::Rng fill(mixSeed(vendor_seed, 1));
-    for (auto &byte : text.bytes)
-        byte = static_cast<uint8_t>(fill.nextRange(256));
-
-    const uint64_t blocks = (image_bytes + kBlock - 1) / kBlock;
-    const auto changed = static_cast<uint64_t>(
-        static_cast<double>(blocks) * change_fraction);
-    for (uint32_t gen = 2; gen <= payload_version; ++gen) {
-        util::Rng mutate(mixSeed(vendor_seed, 0xD1FFull + gen));
-        for (uint64_t c = 0; c < changed; ++c) {
-            const uint64_t block = mutate.nextRange(blocks);
-            const uint64_t begin = block * kBlock;
-            const uint64_t end =
-                std::min<uint64_t>(begin + kBlock, image_bytes);
-            for (uint64_t i = begin; i < end; ++i) {
-                text.bytes[i] =
-                    static_cast<uint8_t>(mutate.nextRange(256));
-            }
-        }
-    }
-    program.sections = {text};
-    return program;
+    return update::payloadGeneration(
+        image_bytes, payload_version, change_fraction,
+        mixSeed(vendor_seed, 1), [vendor_seed](uint32_t gen) {
+            return mixSeed(vendor_seed, 0xD1FFull + gen);
+        });
 }
 
 /**
@@ -164,10 +133,6 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
     info.rollback_of = rollback_of;
     info.delta_base_version = delta_base_version;
 
-    const xom::PlainProgram program =
-        makeProgram(config_.seed, payload_version, config_.image_bytes,
-                    config_.change_fraction);
-
     update::UpdateSpec spec;
     spec.image_version = version;
     spec.rollback_counter = rollback_counter;
@@ -193,8 +158,11 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
         rng_key = 0xB0B0ull + delta_base_version;
     }
     util::Rng bundle_rng(mixSeed(config_.seed, rng_key));
-    info.bundle = builder_.build(program, spec,
-                                 device_class_key_.pub, bundle_rng);
+    info.bundle = update::firmwareBundle(
+        builder_, device_class_key_.pub, spec,
+        payloadBytes(config_.seed, payload_version, config_.image_bytes,
+                     config_.change_fraction),
+        bundle_rng, "fleet-fw");
     info.framed_bytes = update::kSlotHeaderBytes +
                         info.bundle.serialize().size();
 

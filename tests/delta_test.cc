@@ -19,11 +19,7 @@
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/delta.hh"
-#include "update/image_builder.hh"
-#include "update/live_install.hh"
-#include "update/staging_journal.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 
 namespace
 {
@@ -32,60 +28,16 @@ using namespace secproc;
 using namespace secproc::update;
 
 constexpr uint32_t kLine = 128;
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 2ull << 20;
-constexpr uint64_t kImageBase = 0x0800'0000;
+constexpr StagingConfig kStaging{0x4000'0000, 2ull << 20};
 
-/** Vendor + processor key material shared by every rig of a test. */
-struct KeyRing
+/** Payload generation @p generation of the image keyed by @p seed. */
+std::vector<uint8_t>
+payload(uint64_t seed, uint64_t image_bytes, uint32_t generation,
+        double change_fraction)
 {
-    util::Rng rng;
-    ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
-
-    explicit KeyRing(uint64_t seed)
-        : rng(seed), vendor(crypto::rsaGenerate(512, rng)),
-          processor(crypto::rsaGenerate(512, rng))
-    {}
-};
-
-/**
- * Program bytes of payload generation @p generation: generation 1 is
- * fresh random, each later generation rewrites @p change_fraction of
- * its predecessor's 64-byte blocks — the similarity a delta exploits.
- */
-xom::PlainProgram
-makeProgram(uint64_t seed, uint64_t image_bytes, uint32_t generation,
-            double change_fraction)
-{
-    constexpr uint64_t kBlock = 64;
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(image_bytes);
-    util::Rng fill(seed ^ 0xF111);
-    for (auto &byte : text.bytes)
-        byte = static_cast<uint8_t>(fill.nextRange(256));
-
-    const uint64_t blocks = (image_bytes + kBlock - 1) / kBlock;
-    const auto changed = static_cast<uint64_t>(
-        static_cast<double>(blocks) * change_fraction);
-    for (uint32_t gen = 2; gen <= generation; ++gen) {
-        util::Rng mutate(seed ^ (0xD1FFull + gen));
-        for (uint64_t c = 0; c < changed; ++c) {
-            const uint64_t block = mutate.nextRange(blocks);
-            for (uint64_t i = block * kBlock;
-                 i < std::min(block * kBlock + kBlock, image_bytes);
-                 ++i)
-                text.bytes[i] =
-                    static_cast<uint8_t>(mutate.nextRange(256));
-        }
-    }
-    program.sections = {text};
-    return program;
+    return payloadGeneration(
+        image_bytes, generation, change_fraction, seed ^ 0xF111,
+        [seed](uint32_t gen) { return seed ^ (0xD1FFull + gen); });
 }
 
 /** A base release, its successor, and the delta between them. */
@@ -103,77 +55,45 @@ struct ReleasePair
  * into its manifest.
  */
 ReleasePair
-makePair(KeyRing &ring, uint64_t image_bytes, double change_fraction,
-         uint64_t key_seed)
+makePair(const FirmwareVendor &vendor, uint64_t image_bytes,
+         double change_fraction, uint64_t key_seed)
 {
     UpdateSpec spec;
     spec.image_version = 1;
     spec.rollback_counter = 1;
-    spec.cipher = secure::CipherKind::Des;
-    spec.line_size = kLine;
 
     ReleasePair pair;
     util::Rng rng_base(key_seed);
-    pair.base = ring.vendor.build(
-        makeProgram(key_seed, image_bytes, 1, change_fraction), spec,
-        ring.processor.pub, rng_base);
+    pair.base = firmwareBundle(
+        vendor.builder, vendor.processor.pub, spec,
+        payload(key_seed, image_bytes, 1, change_fraction), rng_base);
 
     spec.image_version = 2;
     spec.rollback_counter = 2;
     spec.base_digest = sha256DigestOfImage(pair.base.image);
     util::Rng rng_next(key_seed);
-    pair.next = ring.vendor.build(
-        makeProgram(key_seed, image_bytes, 2, change_fraction), spec,
-        ring.processor.pub, rng_next);
+    pair.next = firmwareBundle(
+        vendor.builder, vendor.processor.pub, spec,
+        payload(key_seed, image_bytes, 2, change_fraction), rng_next);
 
-    pair.delta = ring.vendor.buildDelta(pair.base, pair.next);
+    pair.delta = vendor.builder.buildDelta(pair.base, pair.next);
     return pair;
 }
 
 /** The pure-functional device (zero simulated cycles). */
-struct FunctionalRig
+DeviceRig
+functionalDevice(const FirmwareVendor &vendor)
 {
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    std::unique_ptr<secure::ProtectionEngine> engine;
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    RollbackStore rollback{64};
-    std::unique_ptr<UpdateEngine> updater;
-
-    explicit FunctionalRig(KeyRing &ring)
-    {
-        secure::ProtectionConfig config;
-        config.line_size = kLine;
-        config.snc.l2_line_size = kLine;
-        engine = secure::makeProtectionEngine(config, channel, keys);
-        updater = std::make_unique<UpdateEngine>(
-            ring.vendor.publicKey(), ring.processor, keys, rollback,
-            StagingConfig{kStagingBase, kSlotSize});
-    }
-
-    bool install(const UpdateBundle &bundle)
-    {
-        return updater->install(bundle, 1, memory, vm, 1, *engine)
-            .ok();
-    }
-
-    /** Framed slot contents of the active slot. */
-    std::vector<uint8_t> activeSlotBytes(uint64_t framed_size)
-    {
-        std::vector<uint8_t> bytes(framed_size);
-        memory.read(updater->slotBase(updater->activeSlot()),
-                    bytes.data(), bytes.size());
-        return bytes;
-    }
-};
+    return DeviceRig(vendor.builder.publicKey(), vendor.processor,
+                     kStaging);
+}
 
 // ------------------------------------------------------- wire format
 
 TEST(DeltaBundle, SerializeRoundTrips)
 {
-    KeyRing ring(0xDE17A);
-    const ReleasePair pair = makePair(ring, 32ull << 10, 0.10, 0xAB);
+    FirmwareVendor vendor(0xDE17A);
+    const ReleasePair pair = makePair(vendor, 32ull << 10, 0.10, 0xAB);
 
     const std::vector<uint8_t> bytes = pair.delta.serialize();
     EXPECT_EQ(bytes.size(), pair.delta.serializedSize());
@@ -188,8 +108,8 @@ TEST(DeltaBundle, SerializeRoundTrips)
 
 TEST(DeltaBundle, TruncationIsRejectedNotFatal)
 {
-    KeyRing ring(0xDE17B);
-    const ReleasePair pair = makePair(ring, 8ull << 10, 0.10, 0xAC);
+    FirmwareVendor vendor(0xDE17B);
+    const ReleasePair pair = makePair(vendor, 8ull << 10, 0.10, 0xAC);
     const std::vector<uint8_t> bytes = pair.delta.serialize();
 
     // Every prefix must parse to nullopt or to a structurally valid
@@ -206,8 +126,8 @@ TEST(DeltaBundle, TruncationIsRejectedNotFatal)
 
 TEST(DeltaBundle, ShipsFarFewerBytesForSmallChanges)
 {
-    KeyRing ring(0xDE17C);
-    const ReleasePair pair = makePair(ring, 256ull << 10, 0.10, 0xAD);
+    FirmwareVendor vendor(0xDE17C);
+    const ReleasePair pair = makePair(vendor, 256ull << 10, 0.10, 0xAD);
 
     // A 10%-changed release must ship well under half the full
     // bundle (in practice ~15%: literals + manifest + capsule + op
@@ -223,8 +143,8 @@ TEST(DeltaBundle, ShipsFarFewerBytesForSmallChanges)
 
 TEST(UpdateEngine, FramedSizeDerivesFromTheSerializer)
 {
-    KeyRing ring(0xDE17D);
-    const ReleasePair pair = makePair(ring, 16ull << 10, 0.10, 0xAE);
+    FirmwareVendor vendor(0xDE17D);
+    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xAE);
 
     // The slot-fit gate in verify() must cost exactly what the
     // serializer produces — for full bundles and for a
@@ -236,10 +156,10 @@ TEST(UpdateEngine, FramedSizeDerivesFromTheSerializer)
     EXPECT_EQ(frameBundle(pair.next),
               frameBundleBytes(pair.next.serialize()));
 
-    FunctionalRig rig(ring);
-    ASSERT_TRUE(rig.install(pair.base));
+    DeviceRig rig = functionalDevice(vendor);
+    ASSERT_TRUE(rig.install(pair.base).ok());
     const auto rec =
-        rig.updater->reconstructDelta(pair.delta, rig.memory);
+        rig.updater().reconstructDelta(pair.delta, rig.memory());
     ASSERT_TRUE(rec.result.ok()) << rec.result.detail;
     EXPECT_EQ(rec.bundle->serializedSize(),
               rec.bundle->serialize().size());
@@ -251,78 +171,72 @@ TEST(UpdateEngine, FramedSizeDerivesFromTheSerializer)
 
 TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
 {
-    KeyRing ring(0xDE17E);
-    const ReleasePair pair = makePair(ring, 64ull << 10, 0.10, 0xAF);
+    FirmwareVendor vendor(0xDE17E);
+    const ReleasePair pair = makePair(vendor, 64ull << 10, 0.10, 0xAF);
 
-    FunctionalRig full(ring);
-    ASSERT_TRUE(full.install(pair.base));
-    ASSERT_TRUE(full.install(pair.next));
+    DeviceRig full = functionalDevice(vendor);
+    ASSERT_TRUE(full.install(pair.base).ok());
+    ASSERT_TRUE(full.install(pair.next).ok());
 
-    FunctionalRig delta(ring);
-    ASSERT_TRUE(delta.install(pair.base));
+    DeviceRig delta = functionalDevice(vendor);
+    ASSERT_TRUE(delta.install(pair.base).ok());
     const VerifyResult staged =
-        delta.updater->stageDelta(pair.delta, delta.memory);
+        delta.updater().stageDelta(pair.delta, delta.memory());
     ASSERT_TRUE(staged.ok()) << staged.detail;
-    ASSERT_TRUE(delta.updater
-                    ->activate(1, delta.memory, delta.vm, 1,
-                               *delta.engine)
-                    .ok());
+    ASSERT_TRUE(delta.activate().ok());
 
     // The reconstructed device is indistinguishable from the
     // full-bundle one: same active slot, same slot bytes, same
     // manifest, same counter.
-    const uint64_t framed_size =
-        kSlotHeaderBytes + pair.next.serializedSize();
-    EXPECT_EQ(delta.updater->activeSlot(), full.updater->activeSlot());
-    EXPECT_EQ(delta.activeSlotBytes(framed_size),
-              full.activeSlotBytes(framed_size));
-    EXPECT_EQ(delta.updater->activeManifest()->serialize(),
-              full.updater->activeManifest()->serialize());
-    EXPECT_EQ(delta.rollback.current("fw"),
-              full.rollback.current("fw"));
+    EXPECT_EQ(delta.updater().activeSlot(), full.updater().activeSlot());
+    EXPECT_EQ(delta.activeSlotBytes().size(),
+              kSlotHeaderBytes + pair.next.serializedSize());
+    EXPECT_EQ(delta.activeSlotBytes(), full.activeSlotBytes());
+    EXPECT_EQ(delta.updater().activeManifest()->serialize(),
+              full.updater().activeManifest()->serialize());
+    EXPECT_EQ(delta.rollback().current("fw"),
+              full.rollback().current("fw"));
 }
 
 // ----------------------------------------------- fallback + tampering
 
 TEST(Delta, BaseMismatchIsACleanFallbackSignal)
 {
-    KeyRing ring(0xDE17F);
-    const ReleasePair pair = makePair(ring, 16ull << 10, 0.10, 0xB0);
+    FirmwareVendor vendor(0xDE17F);
+    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB0);
 
     // No active image at all: the device needs the full bundle.
-    FunctionalRig fresh(ring);
-    EXPECT_EQ(fresh.updater->stageDelta(pair.delta, fresh.memory)
+    DeviceRig fresh = functionalDevice(vendor);
+    EXPECT_EQ(fresh.updater().stageDelta(pair.delta, fresh.memory())
                   .status,
               UpdateStatus::BaseMismatch);
 
     // Wrong base installed (a different generation's bytes).
-    FunctionalRig wrong(ring);
+    DeviceRig wrong = functionalDevice(vendor);
     UpdateSpec spec;
     spec.image_version = 1;
     spec.rollback_counter = 1;
-    spec.cipher = secure::CipherKind::Des;
-    spec.line_size = kLine;
     util::Rng other_rng(0xCAFE);
-    const UpdateBundle other = ring.vendor.build(
-        makeProgram(0xCAFE, 16ull << 10, 1, 0.10), spec,
-        ring.processor.pub, other_rng);
-    ASSERT_TRUE(wrong.install(other));
-    EXPECT_EQ(wrong.updater->stageDelta(pair.delta, wrong.memory)
+    const UpdateBundle other = firmwareBundle(
+        vendor.builder, vendor.processor.pub, spec,
+        payload(0xCAFE, 16ull << 10, 1, 0.10), other_rng);
+    ASSERT_TRUE(wrong.install(other).ok());
+    EXPECT_EQ(wrong.updater().stageDelta(pair.delta, wrong.memory())
                   .status,
               UpdateStatus::BaseMismatch);
 
     // The defined fallback always works: the full bundle installs on
     // the very device that just refused the delta.
-    EXPECT_TRUE(wrong.install(pair.next));
+    EXPECT_TRUE(wrong.install(pair.next).ok());
 }
 
 TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)
 {
-    KeyRing ring(0xDE180);
-    const ReleasePair pair = makePair(ring, 16ull << 10, 0.10, 0xB1);
+    FirmwareVendor vendor(0xDE180);
+    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB1);
 
-    FunctionalRig rig(ring);
-    ASSERT_TRUE(rig.install(pair.base));
+    DeviceRig rig = functionalDevice(vendor);
+    ASSERT_TRUE(rig.install(pair.base).ok());
 
     // A flipped literal byte survives the bounds checks but dies on
     // the signed digests of the reconstructed image.
@@ -342,7 +256,7 @@ TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)
                 break;
         }
         ASSERT_TRUE(flipped);
-        EXPECT_EQ(rig.updater->reconstructDelta(tampered, rig.memory)
+        EXPECT_EQ(rig.updater().reconstructDelta(tampered, rig.memory())
                       .result.status,
                   UpdateStatus::DigestMismatch);
     }
@@ -364,7 +278,7 @@ TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)
                 break;
         }
         ASSERT_TRUE(bent);
-        EXPECT_EQ(rig.updater->reconstructDelta(tampered, rig.memory)
+        EXPECT_EQ(rig.updater().reconstructDelta(tampered, rig.memory())
                       .result.status,
                   UpdateStatus::MalformedBundle);
     }
@@ -373,14 +287,14 @@ TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)
     {
         DeltaBundle tampered = pair.delta;
         tampered.signature[0] ^= 0x01;
-        EXPECT_EQ(rig.updater->reconstructDelta(tampered, rig.memory)
+        EXPECT_EQ(rig.updater().reconstructDelta(tampered, rig.memory())
                       .result.status,
                   UpdateStatus::BadSignature);
     }
 
     // The untampered delta still installs after all those refusals —
     // nothing above changed device state.
-    EXPECT_TRUE(rig.updater->stageDelta(pair.delta, rig.memory).ok());
+    EXPECT_TRUE(rig.updater().stageDelta(pair.delta, rig.memory()).ok());
 }
 
 // -------------------------------------------------- staging journal
@@ -438,72 +352,57 @@ TEST(StagingJournal, ResumeKeepsOnlyMatchingRecords)
 
 // ------------------------------------------------------ cycle plane
 
-/** A full machine with a LiveInstall agent attached. */
+/** A full machine with a journaled LiveInstall agent attached. */
 struct LiveRig
 {
     sim::SystemConfig config;
-    sim::WorkloadProfile profile;
-    std::unique_ptr<sim::SyntheticWorkload> workload;
-    std::unique_ptr<sim::System> system;
-    secure::KeyTable update_keys;
-    RollbackStore rollback{64};
-    StagingJournal journal;
-    std::unique_ptr<UpdateEngine> updater;
-    std::unique_ptr<LiveInstall> live;
+    sim::SyntheticWorkload workload;
+    sim::System system;
+    DeviceRig device;
 
-    explicit LiveRig(KeyRing &ring)
+    explicit LiveRig(const FirmwareVendor &vendor)
         : config(sim::paperConfig(secure::SecurityModel::OtpSnc)),
-          profile(sim::benchmarkProfile("gcc"))
+          workload(sim::benchmarkProfile("gcc"), config.l2.line_size),
+          system(config, workload),
+          device(vendor.builder.publicKey(), vendor.processor, system,
+                 liveConfig(), kStaging)
     {
-        workload = std::make_unique<sim::SyntheticWorkload>(
-            profile, config.l2.line_size);
-        system = std::make_unique<sim::System>(config, *workload);
-        updater = std::make_unique<UpdateEngine>(
-            ring.vendor.publicKey(), ring.processor, update_keys,
-            rollback, StagingConfig{kStagingBase, kSlotSize});
-        updater->setJournal(&journal);
+        device.updater().setJournal(&device.journal());
+    }
 
+    static LiveInstallConfig
+    liveConfig()
+    {
         LiveInstallConfig live_config;
         live_config.line_bytes = kLine;
         live_config.pacing = InstallPacing::Arbiter;
         live_config.transport.chunk_bytes = 1024;
         live_config.transport.cycles_per_chunk = 64;
-        live = std::make_unique<LiveInstall>(live_config, *system,
-                                             *updater, 1);
-        system->attachAgent(live.get());
-    }
-
-    bool runToCompletion()
-    {
-        for (int chunk = 0; chunk < 600 && !live->done(); ++chunk)
-            system->run(25'000);
-        return live->done();
+        return live_config;
     }
 };
 
 TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
 {
-    KeyRing ring(0xDE181);
-    const ReleasePair pair = makePair(ring, 64ull << 10, 0.10, 0xB2);
+    FirmwareVendor vendor(0xDE181);
+    const ReleasePair pair = makePair(vendor, 64ull << 10, 0.10, 0xB2);
 
     // Functional full-bundle reference.
-    FunctionalRig reference(ring);
-    ASSERT_TRUE(reference.install(pair.base));
-    ASSERT_TRUE(reference.install(pair.next));
+    DeviceRig reference = functionalDevice(vendor);
+    ASSERT_TRUE(reference.install(pair.base).ok());
+    ASSERT_TRUE(reference.install(pair.next).ok());
 
     // Live machine: base installed functionally, successor shipped
     // as a delta through the unified plane.
-    LiveRig rig(ring);
-    ASSERT_TRUE(rig.updater
-                    ->install(pair.base, 1, rig.system->mainMemory(),
-                              rig.system->virtualMemory(), 1,
-                              rig.system->engine())
-                    .ok());
-    rig.live->startDelta(pair.delta, rig.system->core().cycles());
-    ASSERT_TRUE(rig.runToCompletion());
-    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done)
-        << (rig.live->result() ? rig.live->result()->detail
-                               : rig.live->admission()->detail);
+    LiveRig rig(vendor);
+    DeviceRig &device = rig.device;
+    LiveInstall &live = device.live();
+    ASSERT_TRUE(device.install(pair.base).ok());
+    live.startDelta(pair.delta, rig.system.core().cycles());
+    ASSERT_TRUE(device.runToCompletion());
+    ASSERT_EQ(live.phase(), LiveInstallPhase::Done)
+        << (live.result() ? live.result()->detail
+                          : live.admission()->detail);
 
     // The delta stream on the wire is the small thing; the staged
     // slot holds the full reconstructed bundle.
@@ -512,48 +411,45 @@ TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
     const uint64_t framed_delta =
         kSlotHeaderBytes + pair.delta.serializedSize();
     EXPECT_LT(framed_delta, framed_full / 2);
-    EXPECT_EQ(rig.live->stagedBytesWritten(), framed_full);
+    EXPECT_EQ(live.stagedBytesWritten(), framed_full);
 
-    EXPECT_EQ(rig.updater->activeSlot(),
-              reference.updater->activeSlot());
-    std::vector<uint8_t> got(framed_full);
-    rig.system->mainMemory().read(
-        rig.updater->slotBase(rig.updater->activeSlot()), got.data(),
-        got.size());
-    EXPECT_EQ(got, reference.activeSlotBytes(framed_full));
-    EXPECT_EQ(rig.updater->activeManifest()->serialize(),
-              reference.updater->activeManifest()->serialize());
-    EXPECT_EQ(rig.rollback.current("fw"),
-              reference.rollback.current("fw"));
+    EXPECT_EQ(device.updater().activeSlot(),
+              reference.updater().activeSlot());
+    EXPECT_EQ(device.activeSlotBytes(), reference.activeSlotBytes());
+    EXPECT_EQ(device.updater().activeManifest()->serialize(),
+              reference.updater().activeManifest()->serialize());
+    EXPECT_EQ(device.rollback().current("fw"),
+              reference.rollback().current("fw"));
 
     // Activation success retired the journal record for the slot.
-    EXPECT_FALSE(rig.journal.active(rig.updater->activeSlot()));
+    EXPECT_FALSE(device.journal().active(device.updater().activeSlot()));
 }
 
 TEST(Delta, LiveBaseMismatchFailsSoCallerCanFallBack)
 {
-    KeyRing ring(0xDE182);
-    const ReleasePair pair = makePair(ring, 16ull << 10, 0.10, 0xB3);
+    FirmwareVendor vendor(0xDE182);
+    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB3);
 
     // Nothing installed: the delta admission must render
     // BaseMismatch and fail the install without touching state.
-    LiveRig rig(ring);
-    rig.live->startDelta(pair.delta, 0);
-    ASSERT_TRUE(rig.runToCompletion());
-    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
-    ASSERT_TRUE(rig.live->admission().has_value());
-    EXPECT_EQ(rig.live->admission()->status,
-              UpdateStatus::BaseMismatch);
-    EXPECT_EQ(rig.live->stagedBytesWritten(), 0u);
+    LiveRig rig(vendor);
+    DeviceRig &device = rig.device;
+    LiveInstall &live = device.live();
+    live.startDelta(pair.delta, 0);
+    ASSERT_TRUE(device.runToCompletion());
+    EXPECT_EQ(live.phase(), LiveInstallPhase::Failed);
+    ASSERT_TRUE(live.admission().has_value());
+    EXPECT_EQ(live.admission()->status, UpdateStatus::BaseMismatch);
+    EXPECT_EQ(live.stagedBytesWritten(), 0u);
 
     // The fallback the verdict asks for: the full bundle lands on
     // the same machine (base first — the counter is monotonic).
-    rig.live->start(pair.base, rig.system->core().cycles());
-    ASSERT_TRUE(rig.runToCompletion());
-    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
-    rig.live->start(pair.next, rig.system->core().cycles());
-    ASSERT_TRUE(rig.runToCompletion());
-    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    live.start(pair.base, rig.system.core().cycles());
+    ASSERT_TRUE(device.runToCompletion());
+    ASSERT_EQ(live.phase(), LiveInstallPhase::Done);
+    live.start(pair.next, rig.system.core().cycles());
+    ASSERT_TRUE(device.runToCompletion());
+    EXPECT_EQ(live.phase(), LiveInstallPhase::Done);
 }
 
 } // namespace

@@ -358,6 +358,31 @@ TEST(CellCache, DigestSeparatesConfigsAndMatchesEqualOnes)
     sim::SystemConfig d = a;
     d.core.blocking_loads = true;
     EXPECT_NE(exp::configDigest(a), exp::configDigest(d));
+
+    // One field from each struct the checks above leave untouched.
+    sim::SystemConfig e = a;
+    e.l2.policy = e.l2.policy == mem::ReplacementPolicy::Lru
+                      ? mem::ReplacementPolicy::Random
+                      : mem::ReplacementPolicy::Lru;
+    EXPECT_NE(exp::configDigest(a), exp::configDigest(e));
+
+    sim::SystemConfig f = a;
+    f.channel.dram.row_conflict_latency += 1;
+    EXPECT_NE(exp::configDigest(a), exp::configDigest(f));
+
+    sim::SystemConfig g = a;
+    g.protection.crypto.initiation_interval += 1;
+    EXPECT_NE(exp::configDigest(a), exp::configDigest(g));
+
+    sim::SystemConfig h = a;
+    h.cipher = h.cipher == secure::CipherKind::Des
+                   ? secure::CipherKind::Aes128
+                   : secure::CipherKind::Des;
+    EXPECT_NE(exp::configDigest(a), exp::configDigest(h));
+
+    sim::SystemConfig i = a;
+    i.functional = !i.functional;
+    EXPECT_NE(exp::configDigest(a), exp::configDigest(i));
 }
 
 TEST(CellCache, SecondRequestIsAHitAndBitIdentical)

@@ -14,11 +14,7 @@
 #include "crypto/latency.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/delta.hh"
-#include "update/image_builder.hh"
-#include "update/install_timing.hh"
-#include "update/live_install.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 #include "util/random.hh"
 
 namespace
@@ -42,25 +38,11 @@ TEST(InstallPlan, FromImageBytes)
 
 TEST(InstallPlan, FromBundleMatchesSerializedSize)
 {
-    util::Rng rng(7);
-    const crypto::RsaKeyPair vendor = crypto::rsaGenerate(512, rng);
-    const crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
-    ImageBuilder builder(vendor);
-
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = 0x400000;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = 0x400000;
-    text.bytes.resize(32 * kLine, 0x5A);
-    program.sections = {text};
-
-    UpdateSpec spec;
-    spec.image_version = 1;
-    spec.rollback_counter = 1;
-    const UpdateBundle bundle =
-        builder.build(program, spec, processor.pub, rng);
+    FirmwareVendor vendor(7);
+    const UpdateBundle bundle = firmwareBundle(
+        vendor.builder, vendor.processor.pub, UpdateSpec{},
+        std::vector<uint8_t>(32 * kLine, 0x5A), vendor.rng, "fw",
+        0x400000);
 
     const InstallPlan plan = InstallPlan::fromBundle(
         frameBundle(bundle).size(), bundle.image.totalBytes(), kLine);
@@ -188,45 +170,33 @@ timingReplayCycles(InstallPacing pacing, uint32_t crypto_latency)
 /** Vendor keys, a base release and a delta-shipped successor. */
 struct ReleaseRig
 {
-    util::Rng rng{0xC1C1E};
-    ImageBuilder vendor{crypto::rsaGenerate(512, rng)};
-    crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
+    FirmwareVendor vendor{0xC1C1E};
     UpdateBundle base;
     UpdateBundle next;
     DeltaBundle delta;
 
     ReleaseRig()
     {
-        constexpr uint64_t kImageBase = 0x0800'0000;
-        xom::PlainProgram program;
-        program.title = "fw";
-        program.entry_point = kImageBase;
-        xom::PlainProgram::PlainSection text;
-        text.name = ".text";
-        text.vaddr = kImageBase;
-        text.bytes.resize(32ull << 10);
+        std::vector<uint8_t> text(32ull << 10);
         util::Rng fill(0xF111);
-        for (auto &byte : text.bytes)
+        for (auto &byte : text)
             byte = static_cast<uint8_t>(fill.nextRange(256));
-        program.sections = {text};
 
         UpdateSpec spec;
-        spec.image_version = 1;
-        spec.rollback_counter = 1;
-        spec.line_size = kLine;
         util::Rng base_rng(0xB0B0);
-        base = vendor.build(program, spec, processor.pub, base_rng);
+        base = firmwareBundle(vendor.builder, vendor.processor.pub, spec,
+                              text, base_rng);
 
         // Every tenth 64-byte block changes in the successor.
-        for (size_t i = 0; i < program.sections[0].bytes.size();
-             i += 640)
-            program.sections[0].bytes[i] ^= 0x5A;
+        for (size_t i = 0; i < text.size(); i += 640)
+            text[i] ^= 0x5A;
         spec.image_version = 2;
         spec.rollback_counter = 2;
         spec.base_digest = sha256DigestOfImage(base.image);
         util::Rng next_rng(0xB0B0);
-        next = vendor.build(program, spec, processor.pub, next_rng);
-        delta = vendor.buildDelta(base, next);
+        next = firmwareBundle(vendor.builder, vendor.processor.pub, spec,
+                              text, next_rng);
+        delta = vendor.builder.buildDelta(base, next);
     }
 };
 
@@ -241,11 +211,6 @@ liveReplayCycles(const ReleaseRig &rig)
     sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
                                     config.l2.line_size);
     sim::System system(config, workload);
-    secure::KeyTable keys;
-    RollbackStore rollback(64);
-    UpdateEngine updater(rig.vendor.publicKey(), rig.processor, keys,
-                         rollback,
-                         StagingConfig{0x4000'0000, 1ull << 20});
 
     LiveInstallConfig live_config;
     live_config.line_bytes = kLine;
@@ -257,7 +222,10 @@ liveReplayCycles(const ReleaseRig &rig)
     live_config.transport.reorder_rate = 0.05;
     live_config.transport.retransmit_delay = 4096;
     live_config.transport.seed = 0x5EED;
-    LiveInstall live(live_config, system, updater, 1);
+    DeviceRig device(rig.vendor.builder.publicKey(), rig.vendor.processor,
+                     system, live_config,
+                     StagingConfig{0x4000'0000, 1ull << 20});
+    LiveInstall &live = device.live();
 
     live.start(rig.base, 0);
     const uint64_t full_end = live.replay();

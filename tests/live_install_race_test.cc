@@ -20,15 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "crypto/latency.hh"
 #include "exp/runner.hh"
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/image_builder.hh"
-#include "update/live_install.hh"
-#include "update/staging_journal.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 
 namespace
 {
@@ -37,9 +36,7 @@ using namespace secproc;
 using namespace secproc::update;
 
 constexpr uint32_t kLine = 128;
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 1ull << 20;
-constexpr uint64_t kImageBase = 0x0800'0000;
+constexpr StagingConfig kStaging{0x4000'0000, 1ull << 20};
 constexpr uint64_t kImageBytes = 8ull << 10;
 /** Evenly spaced injection points per cell. */
 constexpr int kInjectionPoints = 6;
@@ -57,38 +54,6 @@ enum class Scenario
     ContextSwitch,
     JournalResume,
 };
-
-struct KeyRing
-{
-    util::Rng rng;
-    ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
-
-    explicit KeyRing(uint64_t seed)
-        : rng(seed), vendor(crypto::rsaGenerate(512, rng)),
-          processor(crypto::rsaGenerate(512, rng))
-    {}
-};
-
-UpdateBundle
-makeBundle(KeyRing &ring, uint32_t version, secure::CipherKind cipher)
-{
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(kImageBytes, static_cast<uint8_t>(version));
-    program.sections = {text};
-
-    UpdateSpec spec;
-    spec.image_version = version;
-    spec.rollback_counter = version;
-    spec.cipher = cipher;
-    return ring.vendor.build(program, spec, ring.processor.pub,
-                             ring.rng);
-}
 
 /** A compact second task so context switches have somewhere to go. */
 sim::WorkloadProfile
@@ -109,92 +74,72 @@ sideProfile()
     return profile;
 }
 
+LiveInstallConfig
+liveConfig(const ota::TransportConfig &transport)
+{
+    LiveInstallConfig live_config;
+    live_config.line_bytes = kLine;
+    live_config.pacing = InstallPacing::Arbiter;
+    live_config.transport = transport;
+    return live_config;
+}
+
+std::vector<sim::TaskSpec>
+tasks(sim::Workload &foreground, sim::Workload *side)
+{
+    std::vector<sim::TaskSpec> specs{{&foreground, 1}};
+    if (side != nullptr)
+        specs.push_back({side, 2});
+    return specs;
+}
+
 /** One machine with a live install racing the given scenario. */
 struct RaceRig
 {
     sim::SystemConfig config;
-    sim::WorkloadProfile fg_profile;
-    sim::WorkloadProfile side_profile;
-    std::unique_ptr<sim::SyntheticWorkload> foreground;
-    std::unique_ptr<sim::SyntheticWorkload> side;
-    std::unique_ptr<sim::System> system;
-    secure::KeyTable update_keys;
-    RollbackStore rollback{64};
-    std::unique_ptr<UpdateEngine> updater;
-    std::unique_ptr<LiveInstall> live;
+    sim::SyntheticWorkload foreground;
+    std::optional<sim::SyntheticWorkload> side;
+    sim::System system;
+    DeviceRig device;
 
-    RaceRig(KeyRing &ring, const ota::TransportConfig &transport,
-            bool two_tasks)
+    RaceRig(const FirmwareVendor &vendor,
+            const ota::TransportConfig &transport, bool two_tasks)
         : config(sim::paperConfig(secure::SecurityModel::OtpSnc)),
-          fg_profile(sim::benchmarkProfile("gcc")),
-          side_profile(sideProfile())
-    {
-        foreground = std::make_unique<sim::SyntheticWorkload>(
-            fg_profile, config.l2.line_size);
-        std::vector<sim::TaskSpec> tasks{{foreground.get(), 1}};
-        if (two_tasks) {
-            side = std::make_unique<sim::SyntheticWorkload>(
-                side_profile, config.l2.line_size);
-            tasks.push_back({side.get(), 2});
-        }
-        system = std::make_unique<sim::System>(config, tasks);
-        updater = std::make_unique<UpdateEngine>(
-            ring.vendor.publicKey(), ring.processor, update_keys,
-            rollback, StagingConfig{kStagingBase, kSlotSize});
+          foreground(sim::benchmarkProfile("gcc"), config.l2.line_size),
+          side(two_tasks ? std::make_optional<sim::SyntheticWorkload>(
+                               sideProfile(), config.l2.line_size)
+                         : std::nullopt),
+          system(config, tasks(foreground, side ? &*side : nullptr)),
+          device(vendor.builder.publicKey(), vendor.processor, system,
+                 liveConfig(transport), kStaging)
+    {}
 
-        LiveInstallConfig live_config;
-        live_config.line_bytes = kLine;
-        live_config.pacing = InstallPacing::Arbiter;
-        live_config.transport = transport;
-        live = std::make_unique<LiveInstall>(live_config, *system,
-                                             *updater, 1);
-        system->attachAgent(live.get());
-    }
-
-    bool
-    installFunctionally(const UpdateBundle &bundle)
-    {
-        return updater
-            ->install(bundle, 1, system->mainMemory(),
-                      system->virtualMemory(), 1, system->engine())
-            .ok();
-    }
+    LiveInstall &live() { return device.live(); }
 
     uint32_t
-    activeVersion() const
+    activeVersion()
     {
         const UpdateManifest *manifest =
-            updater->compartmentManifest(1);
+            device.updater().compartmentManifest(1);
         return manifest == nullptr ? 0 : manifest->image_version;
-    }
-
-    /** Active slot bytes must be exactly the framed active bundle. */
-    bool
-    activeSlotIntact(const std::vector<uint8_t> &framed) const
-    {
-        std::vector<uint8_t> got(framed.size());
-        system->mainMemory().read(
-            updater->slotBase(updater->activeSlot()), got.data(),
-            got.size());
-        return got == framed;
     }
 };
 
 /** How long this cell's undisturbed install takes, start to Done. */
 uint64_t
-dryRunInstallCycles(KeyRing &ring, const UpdateBundle &v1,
+dryRunInstallCycles(FirmwareVendor &vendor, const UpdateBundle &v1,
                     const UpdateBundle &v2,
                     const ota::TransportConfig &transport)
 {
-    RaceRig rig(ring, transport, /*two_tasks=*/false);
-    if (!rig.installFunctionally(v1))
+    RaceRig rig(vendor, transport, /*two_tasks=*/false);
+    if (!rig.device.install(v1).ok())
         return 0;
-    rig.live->start(v2, 0);
-    for (int i = 0; i < 2000 && !rig.live->done(); ++i)
-        rig.system->run(2'000);
-    if (rig.live->phase() != LiveInstallPhase::Done)
+    rig.live().start(v2, 0);
+    for (int i = 0; i < 2000 && !rig.live().done(); ++i)
+        rig.system.run(2'000);
+    if (rig.live().phase() != LiveInstallPhase::Done)
         return 0;
-    return rig.live->installCycles();
+    return rig.live().installCycles();
 }
 
 /**
@@ -202,25 +147,25 @@ dryRunInstallCycles(KeyRing &ring, const UpdateBundle &v1,
  * invariant and that a fresh install recovers the device.
  */
 bool
-powerCutTrial(KeyRing &ring, const UpdateBundle &v1,
+powerCutTrial(FirmwareVendor &vendor, const UpdateBundle &v1,
               const UpdateBundle &v2,
               const std::vector<uint8_t> &framed_v1,
               const std::vector<uint8_t> &framed_v2,
               const ota::TransportConfig &transport,
               uint64_t cut_cycle, secure::CipherKind cipher)
 {
-    RaceRig rig(ring, transport, /*two_tasks=*/false);
-    if (!rig.installFunctionally(v1))
+    RaceRig rig(vendor, transport, /*two_tasks=*/false);
+    if (!rig.device.install(v1).ok())
         return false;
-    rig.live->start(v2, rig.system->core().cycles());
-    while (!rig.live->done() &&
-           rig.system->core().cycles() < cut_cycle)
-        rig.system->run(200);
+    rig.live().start(v2, rig.system.core().cycles());
+    while (!rig.live().done() &&
+           rig.system.core().cycles() < cut_cycle)
+        rig.system.run(200);
 
     // Power dies here: in-flight timing work vanishes, memory and
     // the device's persistent update state stay as they are.
-    rig.system->reset();
-    if (rig.system->channel().backgroundQueued() != 0)
+    rig.system.reset();
+    if (rig.system.channel().backgroundQueued() != 0)
         return false;
 
     // Reboot: whatever the cut left behind, the device must be on
@@ -229,25 +174,24 @@ powerCutTrial(KeyRing &ring, const UpdateBundle &v1,
     uint32_t version = rig.activeVersion();
     if (version != 1 && version != 2)
         return false;
-    if (rig.rollback.current("fw") != version)
+    if (rig.device.rollback().current("fw") != version)
         return false;
 
     // The boot path tries to take any staged update live; a torn
     // slot must be refused, a fully staged one may activate.
-    const InstallResult resumed = rig.updater->activate(
-        1, rig.system->mainMemory(), rig.system->virtualMemory(), 1,
-        rig.system->engine());
+    const InstallResult resumed = rig.device.activate();
     version = rig.activeVersion();
     if (resumed.ok() && version != 2)
         return false;
     if (!resumed.ok() && version != 1 && version != 2)
         return false;
-    if (!rig.activeSlotIntact(version == 2 ? framed_v2 : framed_v1))
+    if (rig.device.activeSlotBytes() !=
+        (version == 2 ? framed_v2 : framed_v1))
         return false;
 
     // Recovery: a clean re-stage of the next version always lands.
-    const UpdateBundle v3 = makeBundle(ring, 3, cipher);
-    if (!rig.installFunctionally(v3))
+    const UpdateBundle v3 = vendor.release(3, kImageBytes, cipher);
+    if (!rig.device.install(v3).ok())
         return false;
     return rig.activeVersion() == 3;
 }
@@ -258,22 +202,22 @@ powerCutTrial(KeyRing &ring, const UpdateBundle &v1,
  * agree.
  */
 bool
-contextSwitchTrial(KeyRing &ring, const UpdateBundle &v1,
+contextSwitchTrial(FirmwareVendor &vendor, const UpdateBundle &v1,
                    const UpdateBundle &v2,
                    const std::vector<uint8_t> &framed_v2,
                    const ota::TransportConfig &transport,
                    uint64_t install_cycles)
 {
-    RaceRig rig(ring, transport, /*two_tasks=*/true);
-    if (!rig.installFunctionally(v1))
+    RaceRig rig(vendor, transport, /*two_tasks=*/true);
+    if (!rig.device.install(v1).ok())
         return false;
-    rig.live->start(v2, rig.system->core().cycles());
+    rig.live().start(v2, rig.system.core().cycles());
 
     uint64_t switches_done = 0;
-    const uint64_t start = rig.system->core().cycles();
-    for (int i = 0; i < 4000 && !rig.live->done(); ++i) {
-        rig.system->run(500);
-        const uint64_t elapsed = rig.system->core().cycles() - start;
+    const uint64_t start = rig.system.core().cycles();
+    for (int i = 0; i < 4000 && !rig.live().done(); ++i) {
+        rig.system.run(500);
+        const uint64_t elapsed = rig.system.core().cycles() - start;
         const uint64_t due = std::min<uint64_t>(
             kInjectionPoints,
             (kInjectionPoints + 1) * elapsed /
@@ -281,21 +225,21 @@ contextSwitchTrial(KeyRing &ring, const UpdateBundle &v1,
         while (switches_done < due) {
             // Alternate tasks and policies: Flush exercises the SNC
             // spill path while the installer holds channel grants.
-            rig.system->switchToTask(
-                (switches_done + 1) % rig.system->taskCount(),
+            rig.system.switchToTask(
+                (switches_done + 1) % rig.system.taskCount(),
                 switches_done % 2 == 0 ? sim::SncSwitchPolicy::Flush
                                        : sim::SncSwitchPolicy::Tag);
             ++switches_done;
         }
     }
 
-    if (rig.live->phase() != LiveInstallPhase::Done)
+    if (rig.live().phase() != LiveInstallPhase::Done)
         return false;
     if (switches_done == 0)
         return false;
-    if (rig.activeVersion() != 2 || rig.rollback.current("fw") != 2)
+    if (rig.activeVersion() != 2 || rig.device.rollback().current("fw") != 2)
         return false;
-    return rig.activeSlotIntact(framed_v2);
+    return rig.device.activeSlotBytes() == framed_v2;
 }
 
 /**
@@ -311,36 +255,36 @@ contextSwitchTrial(KeyRing &ring, const UpdateBundle &v1,
  * activation must retire the journal record.
  */
 bool
-journalResumeTrial(KeyRing &ring, const UpdateBundle &v1,
+journalResumeTrial(FirmwareVendor &vendor, const UpdateBundle &v1,
                    const UpdateBundle &v2,
                    const std::vector<uint8_t> &framed_v2,
                    const ota::TransportConfig &transport, int point)
 {
-    RaceRig rig(ring, transport, /*two_tasks=*/false);
-    StagingJournal journal;
-    rig.updater->setJournal(&journal);
-    if (!rig.installFunctionally(v1))
+    RaceRig rig(vendor, transport, /*two_tasks=*/false);
+    StagingJournal &journal = rig.device.journal();
+    rig.device.updater().setJournal(&journal);
+    if (!rig.device.install(v1).ok())
         return false;
-    const uint32_t slot = rig.updater->stagingSlot();
+    const uint32_t slot = rig.device.updater().stagingSlot();
 
     const uint64_t total = framed_v2.size();
     // Stage writes drain fast once admission ends (the downlink, not
     // the slot, bounds the install), so step at fine granularity to
     // observe a genuinely partial stage.
     auto runUntilStaged = [&](uint64_t target) {
-        for (int i = 0; i < 500000 && !rig.live->done() &&
-                        rig.live->stagedBytesWritten() < target;
+        for (int i = 0; i < 500000 && !rig.live().done() &&
+                        rig.live().stagedBytesWritten() < target;
              ++i)
-            rig.system->run(1);
-        return rig.live->stagedBytesWritten();
+            rig.system.run(1);
+        return rig.live().stagedBytesWritten();
     };
 
     // First cut: an injection-point fraction of the staged bytes.
-    rig.live->start(v2, rig.system->core().cycles());
+    rig.live().start(v2, rig.system.core().cycles());
     const uint64_t s1 = runUntilStaged(total * (point + 1) / 4);
-    if (rig.live->done() || s1 == 0 || s1 >= total)
+    if (rig.live().done() || s1 == 0 || s1 >= total)
         return false; // the cut must land mid-stage
-    rig.system->reset();
+    rig.system.reset();
 
     // The journal survives the reboot through its serialized image.
     const auto persisted =
@@ -351,32 +295,32 @@ journalResumeTrial(KeyRing &ring, const UpdateBundle &v1,
 
     // Second attempt resumes past the journaled lines; cut it again
     // halfway through what remains.
-    rig.live->start(v2, rig.system->core().cycles());
+    rig.live().start(v2, rig.system.core().cycles());
     const uint64_t s2 = runUntilStaged((total - s1) / 2);
-    const uint64_t skipped2 = rig.live->transport().chunksSkipped();
-    if (rig.live->done() || s2 == 0 || s1 + s2 >= total)
+    const uint64_t skipped2 = rig.live().transport().chunksSkipped();
+    if (rig.live().done() || s2 == 0 || s1 + s2 >= total)
         return false;
     if (skipped2 == 0)
         return false; // staged chunks must be NACKed, not re-sent
-    rig.system->reset();
+    rig.system.reset();
 
     // Third attempt runs to completion.
-    rig.live->start(v2, rig.system->core().cycles());
-    for (int i = 0; i < 4000 && !rig.live->done(); ++i)
-        rig.system->run(2'000);
-    if (rig.live->phase() != LiveInstallPhase::Done)
+    rig.live().start(v2, rig.system.core().cycles());
+    for (int i = 0; i < 4000 && !rig.live().done(); ++i)
+        rig.system.run(2'000);
+    if (rig.live().phase() != LiveInstallPhase::Done)
         return false;
-    if (rig.live->transport().chunksSkipped() <= skipped2)
+    if (rig.live().transport().chunksSkipped() <= skipped2)
         return false; // remaining downlink work strictly decreased
     // Resume, not restart: the attempts cover each payload byte
     // exactly once between them.
-    if (s1 + s2 + rig.live->stagedBytesWritten() != total)
+    if (s1 + s2 + rig.live().stagedBytesWritten() != total)
         return false;
-    if (rig.activeVersion() != 2 || rig.rollback.current("fw") != 2)
+    if (rig.activeVersion() != 2 || rig.device.rollback().current("fw") != 2)
         return false;
     if (journal.active(slot))
         return false; // activation must retire the record
-    return rig.activeSlotIntact(framed_v2);
+    return rig.device.activeSlotBytes() == framed_v2;
 }
 
 struct Pattern
@@ -420,10 +364,10 @@ exp::CellOutput
 raceCell(const Pattern &pattern, const std::string &bench,
          uint64_t key_seed)
 {
-    KeyRing ring(key_seed);
+    FirmwareVendor vendor(key_seed);
     const secure::CipherKind cipher = cipherFor(bench);
-    const UpdateBundle v1 = makeBundle(ring, 1, cipher);
-    const UpdateBundle v2 = makeBundle(ring, 2, cipher);
+    const UpdateBundle v1 = vendor.release(1, kImageBytes, cipher);
+    const UpdateBundle v2 = vendor.release(2, kImageBytes, cipher);
     const std::vector<uint8_t> framed_v1 =
         frameBundleBytes(v1.serialize());
     const std::vector<uint8_t> framed_v2 =
@@ -431,7 +375,7 @@ raceCell(const Pattern &pattern, const std::string &bench,
 
     exp::CellOutput cell;
     const uint64_t install_cycles =
-        dryRunInstallCycles(ring, v1, v2, pattern.transport);
+        dryRunInstallCycles(vendor, v1, v2, pattern.transport);
     cell.extras.emplace_back("install_cycles",
                              static_cast<double>(install_cycles));
     if (install_cycles == 0) {
@@ -446,19 +390,19 @@ raceCell(const Pattern &pattern, const std::string &bench,
             const uint64_t cut =
                 install_cycles * (k + 1) / (kInjectionPoints + 1);
             ++trials;
-            survived += powerCutTrial(ring, v1, v2, framed_v1,
+            survived += powerCutTrial(vendor, v1, v2, framed_v1,
                                       framed_v2, pattern.transport,
                                       cut, cipher);
         }
     } else if (pattern.scenario == Scenario::JournalResume) {
         for (int k = 0; k < 3; ++k) {
             ++trials;
-            survived += journalResumeTrial(ring, v1, v2, framed_v2,
+            survived += journalResumeTrial(vendor, v1, v2, framed_v2,
                                            pattern.transport, k);
         }
     } else {
         ++trials;
-        survived += contextSwitchTrial(ring, v1, v2, framed_v2,
+        survived += contextSwitchTrial(vendor, v1, v2, framed_v2,
                                        pattern.transport,
                                        install_cycles);
     }

@@ -13,15 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "crypto/latency.hh"
 #include "exp/runner.hh"
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/image_builder.hh"
-#include "update/install_timing.hh"
-#include "update/live_install.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 
 namespace
 {
@@ -30,12 +29,7 @@ using namespace secproc;
 using namespace secproc::update;
 
 constexpr uint32_t kLine = 128;
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 1ull << 20;
-/** Installed image lives far above every workload footprint, so
- *  activation's line-state registration cannot perturb the
- *  foreground's fill timing. */
-constexpr uint64_t kImageBase = 0x0800'0000;
+constexpr StagingConfig kStaging{0x4000'0000, 1ull << 20};
 
 secure::CipherKind
 cipherFor(const std::string &bench)
@@ -44,99 +38,30 @@ cipherFor(const std::string &bench)
                              : secure::CipherKind::Des;
 }
 
-/** Vendor + processor key material, shared by both planes' rigs. */
-struct KeyRing
-{
-    util::Rng rng;
-    ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
-
-    explicit KeyRing(uint64_t seed)
-        : rng(seed), vendor(crypto::rsaGenerate(512, rng)),
-          processor(crypto::rsaGenerate(512, rng))
-    {}
-};
-
-UpdateBundle
-makeBundle(KeyRing &keys, uint32_t version, uint64_t image_bytes,
-           secure::CipherKind cipher)
-{
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(image_bytes, static_cast<uint8_t>(version));
-    program.sections = {text};
-
-    UpdateSpec spec;
-    spec.image_version = version;
-    spec.rollback_counter = version;
-    spec.cipher = cipher;
-    return keys.vendor.build(program, spec, keys.processor.pub,
-                             keys.rng);
-}
-
-/** The pure-functional reference device (zero simulated cycles). */
-struct FunctionalRig
-{
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    std::unique_ptr<secure::ProtectionEngine> engine;
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    RollbackStore rollback{64};
-    std::unique_ptr<UpdateEngine> updater;
-
-    explicit FunctionalRig(KeyRing &ring)
-    {
-        secure::ProtectionConfig config;
-        config.line_size = kLine;
-        config.snc.l2_line_size = kLine;
-        engine = secure::makeProtectionEngine(config, channel, keys);
-        updater = std::make_unique<UpdateEngine>(
-            ring.vendor.publicKey(), ring.processor, keys, rollback,
-            StagingConfig{kStagingBase, kSlotSize});
-    }
-};
-
 /** A full machine with a LiveInstall agent attached. */
 struct LiveRig
 {
     sim::SystemConfig config;
-    sim::WorkloadProfile profile;
-    std::unique_ptr<sim::SyntheticWorkload> workload;
-    std::unique_ptr<sim::System> system;
-    secure::KeyTable update_keys;
-    RollbackStore rollback{64};
-    std::unique_ptr<UpdateEngine> updater;
-    std::unique_ptr<LiveInstall> live;
+    sim::SyntheticWorkload workload;
+    sim::System system;
+    DeviceRig device;
 
-    LiveRig(KeyRing &ring, uint32_t crypto_latency,
+    LiveRig(const FirmwareVendor &vendor, uint32_t crypto_latency,
             const LiveInstallConfig &live_config)
-        : config(sim::paperConfig(secure::SecurityModel::OtpSnc)),
-          profile(sim::benchmarkProfile("gcc"))
-    {
-        config.protection.crypto.latency = crypto_latency;
-        workload = std::make_unique<sim::SyntheticWorkload>(
-            profile, config.l2.line_size);
-        system = std::make_unique<sim::System>(config, *workload);
-        updater = std::make_unique<UpdateEngine>(
-            ring.vendor.publicKey(), ring.processor, update_keys,
-            rollback, StagingConfig{kStagingBase, kSlotSize});
-        live = std::make_unique<LiveInstall>(live_config, *system,
-                                             *updater, 1);
-        system->attachAgent(live.get());
-    }
+        : config(machine(crypto_latency)),
+          workload(sim::benchmarkProfile("gcc"), config.l2.line_size),
+          system(config, workload),
+          device(vendor.builder.publicKey(), vendor.processor, system,
+                 live_config, kStaging)
+    {}
 
-    /** Run until the install lands (or a generous cap trips). */
-    bool
-    runToCompletion()
+    static sim::SystemConfig
+    machine(uint32_t crypto_latency)
     {
-        for (int chunk = 0; chunk < 600 && !live->done(); ++chunk)
-            system->run(25'000);
-        return live->done();
+        sim::SystemConfig config =
+            sim::paperConfig(secure::SecurityModel::OtpSnc);
+        config.protection.crypto.latency = crypto_latency;
+        return config;
     }
 };
 
@@ -185,70 +110,51 @@ exp::CellOutput
 differentialCell(uint64_t image_bytes, uint32_t crypto_latency,
                  const std::string &bench, uint64_t key_seed)
 {
-    KeyRing ring(key_seed);
+    FirmwareVendor vendor(key_seed);
     const secure::CipherKind cipher = cipherFor(bench);
-    const UpdateBundle bundle =
-        makeBundle(ring, 2, image_bytes, cipher);
+    const UpdateBundle bundle = vendor.release(2, image_bytes, cipher);
 
     // Pure functional reference: install v1 then v2.
-    FunctionalRig reference(ring);
+    DeviceRig reference(vendor.builder.publicKey(), vendor.processor,
+                        kStaging);
     exp::CellOutput cell;
     cell.measured = 0.0;
-    if (!reference.updater
-             ->install(makeBundle(ring, 1, image_bytes, cipher), 1,
-                       reference.memory, reference.vm, 1,
-                       *reference.engine)
-             .ok())
+    if (!reference.install(vendor.release(1, image_bytes, cipher)).ok())
         return cell;
-    if (!reference.updater
-             ->install(bundle, 1, reference.memory, reference.vm, 1,
-                       *reference.engine)
-             .ok())
+    if (!reference.install(bundle).ok())
         return cell;
 
     // Live machine: same v1 baseline functionally, then v2 through
     // the unified plane while the foreground runs.
-    LiveRig rig(ring, crypto_latency, liveConfig(lossyTransport()));
-    if (!rig.updater
-             ->install(makeBundle(ring, 1, image_bytes, cipher), 1,
-                       rig.system->mainMemory(),
-                       rig.system->virtualMemory(), 1,
-                       rig.system->engine())
-             .ok())
+    LiveRig rig(vendor, crypto_latency, liveConfig(lossyTransport()));
+    DeviceRig &device = rig.device;
+    if (!device.install(vendor.release(1, image_bytes, cipher)).ok())
         return cell;
-    rig.live->start(bundle, rig.system->core().cycles());
-    if (!rig.runToCompletion())
+    device.live().start(bundle, rig.system.core().cycles());
+    if (!device.runToCompletion())
         return cell;
     cell.extras.emplace_back(
         "install_ok",
-        rig.live->phase() == LiveInstallPhase::Done ? 1.0 : 0.0);
+        device.live().phase() == LiveInstallPhase::Done ? 1.0 : 0.0);
     cell.extras.emplace_back(
         "retransmit_passes",
-        static_cast<double>(rig.live->transport().retransmitPasses()));
-    if (rig.live->phase() != LiveInstallPhase::Done)
+        static_cast<double>(
+            device.live().transport().retransmitPasses()));
+    if (device.live().phase() != LiveInstallPhase::Done)
         return cell;
 
     // The planes can never disagree: slot bytes, manifest, counter.
-    const uint64_t framed_size =
-        kSlotHeaderBytes + bundle.serialize().size();
-    const uint32_t slot = reference.updater->activeSlot();
-    if (rig.updater->activeSlot() != slot)
+    if (device.updater().activeSlot() !=
+        reference.updater().activeSlot())
         return cell;
-    std::vector<uint8_t> want(framed_size);
-    std::vector<uint8_t> got(framed_size);
-    reference.memory.read(reference.updater->slotBase(slot),
-                          want.data(), want.size());
-    rig.system->mainMemory().read(rig.updater->slotBase(slot),
-                                  got.data(), got.size());
-    const bool bytes_match = want == got;
-    const bool manifest_match =
-        rig.updater->activeManifest().has_value() &&
-        reference.updater->activeManifest().has_value() &&
-        rig.updater->activeManifest()->serialize() ==
-            reference.updater->activeManifest()->serialize();
-    const bool counter_match =
-        rig.rollback.current("fw") ==
-        reference.rollback.current("fw");
+    const bool bytes_match =
+        device.activeSlotBytes() == reference.activeSlotBytes();
+    const auto &got = device.updater().activeManifest();
+    const auto &want = reference.updater().activeManifest();
+    const bool manifest_match = got.has_value() && want.has_value() &&
+                                got->serialize() == want->serialize();
+    const bool counter_match = device.rollback().current("fw") ==
+                               reference.rollback().current("fw");
     cell.extras.emplace_back("bytes_match", bytes_match ? 1.0 : 0.0);
     cell.extras.emplace_back("manifest_match",
                              manifest_match ? 1.0 : 0.0);
@@ -310,9 +216,8 @@ TEST(LiveInstallDifferential, PlanesNeverDisagree)
 
 TEST(LiveInstall, OneRunRendersBothVerdicts)
 {
-    KeyRing ring(0x77AA);
-    const UpdateBundle bundle =
-        makeBundle(ring, 1, 16ull << 10, secure::CipherKind::Des);
+    FirmwareVendor vendor(0x77AA);
+    const UpdateBundle bundle = vendor.release(1, 16ull << 10);
 
     // Baseline: the same machine with nothing installing.
     sim::SystemConfig config =
@@ -322,34 +227,32 @@ TEST(LiveInstall, OneRunRendersBothVerdicts)
     sim::System alone(config, alone_workload);
     alone.run(400'000);
 
-    LiveRig rig(ring, crypto::kPaperCryptoLatency,
+    LiveRig rig(vendor, crypto::kPaperCryptoLatency,
                 liveConfig(lossyTransport()));
-    rig.live->start(bundle, 0);
-    rig.system->run(400'000);
+    LiveInstall &live = rig.device.live();
+    live.start(bundle, 0);
+    rig.system.run(400'000);
 
     // Functional verdict from the very same run...
-    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done)
+    ASSERT_EQ(live.phase(), LiveInstallPhase::Done)
         << "install did not land within the run";
-    ASSERT_TRUE(rig.live->result().has_value());
-    EXPECT_TRUE(rig.live->result()->ok());
-    EXPECT_TRUE(rig.live->admission()->ok());
-    EXPECT_EQ(rig.rollback.current("fw"), 1u);
-    EXPECT_GT(rig.live->activatedAt(), 0u);
-    EXPECT_EQ(rig.live->stagedBytesWritten(),
+    ASSERT_TRUE(live.result().has_value());
+    EXPECT_TRUE(live.result()->ok());
+    EXPECT_TRUE(live.admission()->ok());
+    EXPECT_EQ(rig.device.rollback().current("fw"), 1u);
+    EXPECT_GT(live.activatedAt(), 0u);
+    EXPECT_EQ(live.stagedBytesWritten(),
               kSlotHeaderBytes + bundle.serialize().size());
 
     // ...and the cycle verdict: the install cost the foreground
     // cycles, attributed to the installer's channel agents.
-    EXPECT_GT(rig.system->core().cycles(), alone.core().cycles());
-    EXPECT_GT(rig.system->channel().agentBytes(rig.live->agent()), 0u);
-    EXPECT_GT(rig.system->channel().agentBytes(rig.live->dmaAgent()),
-              0u);
-    EXPECT_GT(rig.system->channel().agentStallCycles(
-                  rig.live->agent()),
-              0u)
+    EXPECT_GT(rig.system.core().cycles(), alone.core().cycles());
+    EXPECT_GT(rig.system.channel().agentBytes(live.agent()), 0u);
+    EXPECT_GT(rig.system.channel().agentBytes(live.dmaAgent()), 0u);
+    EXPECT_GT(rig.system.channel().agentStallCycles(live.agent()), 0u)
         << "an arbiter-paced install must have queued behind the "
            "foreground at least once";
-    rig.system->channel().assertFullyAttributed();
+    rig.system.channel().assertFullyAttributed();
 }
 
 /** Foreground cycles for a 400k-instruction gcc run under a given
@@ -357,9 +260,7 @@ TEST(LiveInstall, OneRunRendersBothVerdicts)
 uint64_t
 foregroundCycles(uint32_t crypto_latency, const char *mode)
 {
-    sim::SystemConfig config =
-        sim::paperConfig(secure::SecurityModel::OtpSnc);
-    config.protection.crypto.latency = crypto_latency;
+    const sim::SystemConfig config = LiveRig::machine(crypto_latency);
     sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
                                     config.l2.line_size);
     sim::System system(config, workload);
@@ -370,13 +271,8 @@ foregroundCycles(uint32_t crypto_latency, const char *mode)
                         config.l2.line_size);
 
     // Self-throttled: the unified-plane agent, same 256KB image.
-    KeyRing ring(0x5EED);
-    secure::KeyTable update_keys;
-    RollbackStore rollback(64);
-    UpdateEngine updater(ring.vendor.publicKey(), ring.processor,
-                         update_keys, rollback,
-                         StagingConfig{kStagingBase, kSlotSize});
-    LiveInstall live(liveConfig(fastTransport()), system, updater, 1);
+    FirmwareVendor vendor(0x5EED);
+    std::optional<DeviceRig> device;
 
     const uint64_t image_bytes = 256ull << 10;
     const bool live_mode = std::string(mode) == "live";
@@ -387,10 +283,9 @@ foregroundCycles(uint32_t crypto_latency, const char *mode)
                     0, /*repeat=*/true);
         system.attachAgent(&fixed);
     } else if (live_mode) {
-        live.start(makeBundle(ring, version++, image_bytes,
-                              secure::CipherKind::Des),
-                   0);
-        system.attachAgent(&live);
+        device.emplace(vendor.builder.publicKey(), vendor.processor,
+                       system, liveConfig(fastTransport()), kStaging);
+        device->live().start(vendor.release(version++, image_bytes), 0);
     }
 
     // Continuous pressure on both sides: the fixed replay repeats by
@@ -400,11 +295,12 @@ foregroundCycles(uint32_t crypto_latency, const char *mode)
     auto run = [&](uint64_t instructions) {
         for (uint64_t ran = 0; ran < instructions; ran += 10'000) {
             system.run(10'000);
-            if (live_mode && live.done()) {
-                EXPECT_EQ(live.phase(), LiveInstallPhase::Done);
-                live.start(makeBundle(ring, version++, image_bytes,
-                                      secure::CipherKind::Des),
-                           system.core().cycles());
+            if (live_mode && device->live().done()) {
+                EXPECT_EQ(device->live().phase(),
+                          LiveInstallPhase::Done);
+                device->live().start(
+                    vendor.release(version++, image_bytes),
+                    system.core().cycles());
             }
         }
     };
@@ -413,7 +309,6 @@ foregroundCycles(uint32_t crypto_latency, const char *mode)
     run(400'000);
     return system.stats().cycles;
 }
-
 TEST(LiveInstall, ArbiterThrottlesBelowFixedPace)
 {
     // The acceptance criterion: at both engine latencies, the
@@ -443,47 +338,42 @@ TEST(LiveInstall, ArbiterThrottlesBelowFixedPace)
 
 TEST(LiveInstall, SystemResetDropsInFlightWork)
 {
-    KeyRing ring(0xABCD);
-    const UpdateBundle bundle =
-        makeBundle(ring, 1, 32ull << 10, secure::CipherKind::Des);
-    LiveRig rig(ring, crypto::kPaperCryptoLatency,
+    FirmwareVendor vendor(0xABCD);
+    const UpdateBundle bundle = vendor.release(1, 32ull << 10);
+    LiveRig rig(vendor, crypto::kPaperCryptoLatency,
                 liveConfig(fastTransport()));
-    rig.live->start(bundle, 0);
+    LiveInstall &live = rig.device.live();
+    live.start(bundle, 0);
 
     // Run until the slot is partially written: 500-instruction steps
     // cannot cover the whole stage stream's bus time, so the cut
     // lands mid-stage with a genuinely torn slot.
-    while (rig.live->stagedBytesWritten() == 0 &&
-           rig.system->core().cycles() < 2'000'000)
-        rig.system->run(500);
-    ASSERT_FALSE(rig.live->done());
-    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Stage);
-    ASSERT_LT(rig.live->stagedBytesWritten(),
+    while (live.stagedBytesWritten() == 0 &&
+           rig.system.core().cycles() < 2'000'000)
+        rig.system.run(500);
+    ASSERT_FALSE(live.done());
+    ASSERT_EQ(live.phase(), LiveInstallPhase::Stage);
+    ASSERT_LT(live.stagedBytesWritten(),
               kSlotHeaderBytes + bundle.serialize().size())
         << "the cut must leave a torn slot";
 
-    rig.system->reset();
-    EXPECT_TRUE(rig.live->done()) << "reset abandons the install";
-    EXPECT_EQ(rig.system->channel().backgroundQueued(), 0u);
-    EXPECT_EQ(rig.system->channel().busyUntil(), 0u);
-    EXPECT_EQ(rig.system->cryptoEngine().busyUntil(), 0u);
-    rig.system->channel().assertFullyAttributed();
+    rig.system.reset();
+    EXPECT_TRUE(live.done()) << "reset abandons the install";
+    EXPECT_EQ(rig.system.channel().backgroundQueued(), 0u);
+    EXPECT_EQ(rig.system.channel().busyUntil(), 0u);
+    EXPECT_EQ(rig.system.cryptoEngine().busyUntil(), 0u);
+    rig.system.channel().assertFullyAttributed();
 
     // The device recovers: a clean functional re-install of the
     // same bundle (nothing was committed) succeeds.
-    EXPECT_FALSE(rig.updater->stagedPending());
-    EXPECT_TRUE(rig.updater
-                    ->install(bundle, 1, rig.system->mainMemory(),
-                              rig.system->virtualMemory(), 1,
-                              rig.system->engine())
-                    .ok());
+    EXPECT_FALSE(rig.device.updater().stagedPending());
+    EXPECT_TRUE(rig.device.install(bundle).ok());
 
     // And the agent can start a fresh install afterwards.
-    rig.live->start(makeBundle(ring, 2, 8ull << 10,
-                               secure::CipherKind::Des),
-                    rig.system->core().cycles());
-    EXPECT_TRUE(rig.runToCompletion());
-    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    live.start(vendor.release(2, 8ull << 10),
+               rig.system.core().cycles());
+    EXPECT_TRUE(rig.device.runToCompletion());
+    EXPECT_EQ(live.phase(), LiveInstallPhase::Done);
 }
 
 } // namespace

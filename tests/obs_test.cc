@@ -19,9 +19,7 @@
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
-#include "update/image_builder.hh"
-#include "update/live_install.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
 
@@ -165,31 +163,7 @@ TEST(Trace, ChromeJsonShape)
 
 // ------------------------------------- non-perturbation differential
 
-constexpr uint32_t kLine = 128;
-constexpr uint64_t kStagingBase = 0x4000'0000;
-constexpr uint64_t kSlotSize = 1ull << 20;
-constexpr uint64_t kImageBase = 0x0800'0000;
 constexpr uint64_t kImageBytes = 32ull << 10;
-
-UpdateBundle
-makeBundle(ImageBuilder &vendor, const crypto::RsaPublicKey &processor,
-           util::Rng &rng, uint32_t version)
-{
-    xom::PlainProgram program;
-    program.title = "fw";
-    program.entry_point = kImageBase;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = kImageBase;
-    text.bytes.resize(kImageBytes, static_cast<uint8_t>(version));
-    program.sections = {text};
-
-    UpdateSpec spec;
-    spec.image_version = version;
-    spec.rollback_counter = version;
-    spec.cipher = secure::CipherKind::Des;
-    return vendor.build(program, spec, processor, rng);
-}
 
 /** Everything a traced run could possibly have perturbed. */
 struct MiniRunResult
@@ -211,14 +185,7 @@ struct MiniRunResult
 MiniRunResult
 runMiniInstall(bool traced)
 {
-    util::Rng rng(0x0B5'0001);
-    ImageBuilder vendor(crypto::rsaGenerate(512, rng));
-    const crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
-    secure::KeyTable keys;
-    RollbackStore rollback(64);
-    UpdateEngine updater(vendor.publicKey(), processor, keys, rollback,
-                         StagingConfig{kStagingBase, kSlotSize});
-
+    FirmwareVendor vendor(0x0B5'0001);
     const sim::SystemConfig config =
         sim::paperConfig(secure::SecurityModel::OtpSnc);
     sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
@@ -226,7 +193,7 @@ runMiniInstall(bool traced)
     sim::System system(config, workload);
 
     LiveInstallConfig live_config;
-    live_config.line_bytes = kLine;
+    live_config.line_bytes = config.l2.line_size;
     live_config.pacing = InstallPacing::Arbiter;
     live_config.transport.chunk_bytes = 1024;
     live_config.transport.cycles_per_chunk = 128;
@@ -234,19 +201,19 @@ runMiniInstall(bool traced)
     live_config.transport.burst_length = 2.0;
     live_config.transport.retransmit_delay = 4096;
     live_config.transport.seed = 0x0F0A;
-    LiveInstall live(live_config, system, updater, 1);
+    DeviceRig device(vendor.builder.publicKey(), vendor.processor,
+                     system, live_config,
+                     StagingConfig{0x4000'0000, 1ull << 20});
+    LiveInstall &live = device.live();
 
     obs::TraceSink trace;
     if (traced)
         system.setTraceSink(&trace);
-    system.attachAgent(&live);
 
-    const UpdateBundle bundle =
-        makeBundle(vendor, processor.pub, rng, 1);
+    const UpdateBundle bundle = vendor.release(1, kImageBytes);
     system.beginMeasurement();
     live.start(bundle, 0);
-    for (int chunk = 0; chunk < 600 && !live.done(); ++chunk)
-        system.run(25'000);
+    device.runToCompletion();
 
     MiniRunResult result;
     result.stats = system.stats();
@@ -255,12 +222,8 @@ runMiniInstall(bool traced)
     result.bg_forced = system.channel().backgroundForcedGrants();
     result.agent_bytes = system.channel().agentBytes(live.agent());
     result.install_done = live.phase() == LiveInstallPhase::Done;
-    if (result.install_done) {
-        result.slot_bytes.resize(live.stagedBytesWritten());
-        system.mainMemory().read(
-            updater.slotBase(updater.activeSlot()),
-            result.slot_bytes.data(), result.slot_bytes.size());
-    }
+    if (result.install_done)
+        result.slot_bytes = device.activeSlotBytes();
     if (traced)
         result.trace_json = trace.toChromeJson().dump();
     return result;

@@ -22,9 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hh"
-#include "update/image_builder.hh"
-#include "update/update_engine.hh"
-#include "xom/vendor_tool.hh"
+#include "update/device_rig.hh"
 
 namespace
 {
@@ -46,59 +44,14 @@ cipherFor(const std::string &bench)
 /** One device under corruption attack (self-contained per cell). */
 struct Rig
 {
-    util::Rng rng{1234};
-    ImageBuilder vendor;
-    crypto::RsaKeyPair processor;
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    std::unique_ptr<secure::ProtectionEngine> engine;
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    RollbackStore rollback{64};
-    std::unique_ptr<UpdateEngine> updater;
-
-    Rig() : vendor(crypto::rsaGenerate(512, rng))
-    {
-        processor = crypto::rsaGenerate(512, rng);
-        secure::ProtectionConfig config;
-        config.line_size = kLine;
-        config.snc.l2_line_size = kLine;
-        engine = secure::makeProtectionEngine(config, channel, keys);
-        updater = std::make_unique<UpdateEngine>(
-            vendor.publicKey(), processor, keys, rollback,
-            StagingConfig{kStagingBase, kSlotSize});
-    }
+    FirmwareVendor vendor{1234};
+    DeviceRig device{vendor.builder.publicKey(), vendor.processor,
+                     StagingConfig{kStagingBase, kSlotSize}};
 
     UpdateBundle
     bundle(uint32_t version, secure::CipherKind cipher)
     {
-        xom::PlainProgram program;
-        program.title = "fw";
-        program.entry_point = 0x400000;
-        xom::PlainProgram::PlainSection text;
-        text.name = ".text";
-        text.vaddr = 0x400000;
-        text.bytes.resize(64 * kLine,
-                          static_cast<uint8_t>(version));
-        program.sections = {text};
-
-        UpdateSpec spec;
-        spec.image_version = version;
-        spec.rollback_counter = version;
-        spec.cipher = cipher;
-        return vendor.build(program, spec, processor.pub, rng);
-    }
-
-    InstallResult
-    activate()
-    {
-        return updater->activate(1, memory, vm, 1, *engine);
-    }
-
-    InstallResult
-    install(const UpdateBundle &b)
-    {
-        return updater->install(b, 1, memory, vm, 1, *engine);
+        return vendor.release(version, 64 * kLine, cipher, 0x400000);
     }
 };
 
@@ -109,14 +62,15 @@ struct Tally
     uint64_t rejected = 0;
 
     void
-    record(const Rig &rig, const InstallResult &result,
+    record(DeviceRig &device, const InstallResult &result,
            uint32_t safe_version)
     {
         ++trials;
         if (result.ok())
             return; // accepted a torn image: counted as a breach
         // Rejection must also leave the previous image untouched.
-        const UpdateManifest *active = rig.updater->compartmentManifest(1);
+        const UpdateManifest *active =
+            device.updater().compartmentManifest(1);
         if (active != nullptr && active->image_version == safe_version)
             ++rejected;
     }
@@ -136,9 +90,10 @@ exp::CellOutput
 manifestFieldCell(const std::string &bench, const exp::RunOptions &)
 {
     Rig rig;
+    DeviceRig &device = rig.device;
     const secure::CipherKind cipher = cipherFor(bench);
     exp::CellOutput cell;
-    const bool setup_ok = rig.install(rig.bundle(1, cipher)).ok();
+    const bool setup_ok = device.install(rig.bundle(1, cipher)).ok();
     cell.extras.emplace_back("setup_ok", setup_ok ? 1.0 : 0.0);
     if (!setup_ok) {
         cell.measured = 0.0;
@@ -174,14 +129,14 @@ manifestFieldCell(const std::string &bench, const exp::RunOptions &)
 
     Tally tally;
     for (const UpdateBundle &mutant : mutants)
-        tally.record(rig, rig.install(mutant), 1);
+        tally.record(device, device.install(mutant), 1);
 
     // A correctly re-signed bundle with a non-advancing counter is
     // the "vendor mistake" flavour of rollback; it must fail too.
     UpdateBundle resigned = good;
     resigned.manifest.rollback_counter = 1;
-    resigned = rig.vendor.resign(std::move(resigned));
-    tally.record(rig, rig.install(resigned), 1);
+    resigned = rig.vendor.builder.resign(std::move(resigned));
+    tally.record(device, device.install(resigned), 1);
 
     cell.measured = tally.rejectionPct();
     cell.extras.emplace_back("trials",
@@ -198,14 +153,15 @@ exp::CellOutput
 stagedBytesCell(const std::string &bench, bool truncate)
 {
     Rig rig;
+    DeviceRig &device = rig.device;
     const secure::CipherKind cipher = cipherFor(bench);
     exp::CellOutput cell;
-    bool setup_ok = rig.install(rig.bundle(1, cipher)).ok();
+    bool setup_ok = device.install(rig.bundle(1, cipher)).ok();
     const UpdateBundle good = rig.bundle(2, cipher);
     const uint64_t framed_size =
         kSlotHeaderBytes + good.serialize().size();
     const uint64_t slot_base =
-        kStagingBase + rig.updater->stagingSlot() * kSlotSize;
+        kStagingBase + device.updater().stagingSlot() * kSlotSize;
 
     // 33 systematic offsets: both slot-header bytes and every stripe
     // of the bundle body get hit.
@@ -213,7 +169,7 @@ stagedBytesCell(const std::string &bench, bool truncate)
     Tally tally;
     for (uint64_t i = 0; setup_ok && i < kPoints; ++i) {
         const uint64_t offset = i * (framed_size - 1) / (kPoints - 1);
-        setup_ok = rig.updater->stage(good, rig.memory).ok();
+        setup_ok = device.updater().stage(good, device.memory()).ok();
         if (!setup_ok)
             break;
         if (truncate) {
@@ -221,17 +177,17 @@ stagedBytesCell(const std::string &bench, bool truncate)
             // as if never written.
             const uint64_t len = framed_size - offset;
             const std::vector<uint8_t> zeros(len, 0);
-            rig.memory.write(slot_base + offset, zeros.data(), len);
+            device.memory().write(slot_base + offset, zeros.data(), len);
         } else {
-            rig.memory.corruptByte(slot_base + offset, 0x40);
+            device.memory().corruptByte(slot_base + offset, 0x40);
         }
-        tally.record(rig, rig.activate(), 1);
+        tally.record(device, device.activate(), 1);
     }
 
     // The slot is not burned: an intact re-stage still activates.
     const bool recovered =
-        setup_ok && rig.updater->stage(good, rig.memory).ok() &&
-        rig.activate().ok();
+        setup_ok && device.updater().stage(good, device.memory()).ok() &&
+        device.activate().ok();
 
     cell.extras.emplace_back("setup_ok", setup_ok ? 1.0 : 0.0);
     cell.extras.emplace_back("recovered", recovered ? 1.0 : 0.0);
@@ -252,12 +208,13 @@ exp::CellOutput
 cipherKindMutantCell(const std::string &bench, const exp::RunOptions &)
 {
     Rig rig;
+    DeviceRig &device = rig.device;
     const secure::CipherKind cipher = cipherFor(bench);
     exp::CellOutput cell;
-    bool setup_ok = rig.install(rig.bundle(1, cipher)).ok();
+    bool setup_ok = device.install(rig.bundle(1, cipher)).ok();
     const UpdateBundle good = rig.bundle(2, cipher);
     const uint64_t slot_base =
-        kStagingBase + rig.updater->stagingSlot() * kSlotSize;
+        kStagingBase + device.updater().stagingSlot() * kSlotSize;
     // Slot header | bundle magic u32 | manifest blob len u32 |
     // manifest: magic u32, format u32, title (u32 len + bytes),
     // image_version u32, rollback u64, processor_id[32], cipher u32.
@@ -269,19 +226,19 @@ cipherKindMutantCell(const std::string &bench, const exp::RunOptions &)
     for (const uint32_t evil : {99u, 3u, 0xFFFF'FFFFu}) {
         if (!setup_ok)
             break;
-        setup_ok = rig.updater->stage(good, rig.memory).ok();
+        setup_ok = device.updater().stage(good, device.memory()).ok();
         if (!setup_ok)
             break;
         uint8_t field[4];
         for (int i = 0; i < 4; ++i)
             field[i] = static_cast<uint8_t>(evil >> (8 * i));
-        rig.memory.write(slot_base + cipher_off, field, sizeof field);
-        tally.record(rig, rig.activate(), 1);
+        device.memory().write(slot_base + cipher_off, field, sizeof field);
+        tally.record(device, device.activate(), 1);
     }
 
     const bool recovered =
-        setup_ok && rig.updater->stage(good, rig.memory).ok() &&
-        rig.activate().ok();
+        setup_ok && device.updater().stage(good, device.memory()).ok() &&
+        device.activate().ok();
     cell.extras.emplace_back("setup_ok", setup_ok ? 1.0 : 0.0);
     cell.extras.emplace_back("recovered", recovered ? 1.0 : 0.0);
     cell.measured = setup_ok ? tally.rejectionPct() : 0.0;

@@ -10,15 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "crypto/rsa.hh"
-#include "mem/main_memory.hh"
-#include "mem/virtual_memory.hh"
-#include "secure/engines.hh"
-#include "secure/key_table.hh"
 #include "update/attestation.hh"
-#include "update/image_builder.hh"
+#include "update/device_rig.hh"
 #include "update/manifest.hh"
-#include "update/rollback_store.hh"
-#include "update/update_engine.hh"
 #include "util/serialize.hh"
 #include "xom/secure_loader.hh"
 #include "xom/vendor_tool.hh"
@@ -35,30 +29,17 @@ constexpr uint32_t kLine = 128;
 struct Device
 {
     util::Rng rng;
-    crypto::RsaKeyPair processor;
-    crypto::RsaKeyPair attestation;
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    secure::KeyTable keys;
-    mem::MemoryChannel channel;
-    std::unique_ptr<secure::ProtectionEngine> engine;
-    RollbackStore rollback;
-    std::unique_ptr<UpdateEngine> updater;
+    crypto::RsaKeyPair processor = crypto::rsaGenerate(512, rng);
+    crypto::RsaKeyPair attestation = crypto::rsaGenerate(512, rng);
+    DeviceRig rig;
 
     Device(uint64_t seed, const crypto::RsaPublicKey &vendor_key)
-        : rng(seed)
+        : rng(seed), rig(vendor_key, processor)
     {
-        processor = crypto::rsaGenerate(512, rng);
-        attestation = crypto::rsaGenerate(512, rng);
-        secure::ProtectionConfig config;
-        config.model = secure::SecurityModel::OtpSnc;
-        config.line_size = kLine;
-        config.snc.l2_line_size = kLine;
-        engine = secure::makeProtectionEngine(config, channel, keys);
-        updater = std::make_unique<UpdateEngine>(vendor_key, processor,
-                                                 keys, rollback);
-        updater->setAttestationKey(attestation);
+        rig.updater().setAttestationKey(attestation);
     }
+
+    UpdateEngine &updater() { return rig.updater(); }
 };
 
 /** The vendor: signing identity + release pipeline. */
@@ -108,27 +89,26 @@ TEST(UpdateRoundTrip, BuildVerifyInstallRun)
 
     const UpdateBundle bundle =
         vendor.release(device.processor.pub, 1, 1);
-    const VerifyResult admission = device.updater->verify(bundle);
+    const VerifyResult admission = device.updater().verify(bundle);
     ASSERT_TRUE(admission.ok()) << admission.detail;
 
-    const InstallResult installed = device.updater->install(
-        bundle, 1, device.memory, device.vm, 1, *device.engine);
+    const InstallResult installed = device.rig.install(bundle);
     ASSERT_TRUE(installed.ok()) << installed.detail;
     EXPECT_EQ(installed.entry_point, 0x400000u);
     EXPECT_EQ(installed.slot, 0u) << "first install lands in slot A";
 
     // The program must actually run under the protection engine:
     // demand fetches through the loader path decrypt to plaintext.
-    xom::SecureLoader loader(device.processor.priv, device.keys);
+    xom::SecureLoader loader(device.processor.priv, device.rig.keys());
     const auto line =
-        loader.fetchLine(0x400000 + 2 * kLine, device.memory,
-                         device.vm, 1, *device.engine, true);
+        loader.fetchLine(0x400000 + 2 * kLine, device.rig.memory(),
+                         device.rig.vm(), 1, device.rig.engine(), true);
     EXPECT_EQ(line, std::vector<uint8_t>(kLine, 0xC0 + 1))
         << "fetched text must decrypt to the vendor's plaintext";
 
-    EXPECT_EQ(device.rollback.current("firmware"), 1u);
-    ASSERT_NE(device.updater->compartmentManifest(1), nullptr);
-    EXPECT_EQ(device.updater->compartmentManifest(1)->image_version,
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 1u);
+    ASSERT_NE(device.updater().compartmentManifest(1), nullptr);
+    EXPECT_EQ(device.updater().compartmentManifest(1)->image_version,
               1u);
 }
 
@@ -137,24 +117,22 @@ TEST(UpdateRoundTrip, SequentialUpdatesAlternateSlots)
     Vendor vendor(3);
     Device device(4, vendor.builder.publicKey());
 
-    const auto v1 = device.updater->install(
-        vendor.release(device.processor.pub, 1, 1), 1, device.memory,
-        device.vm, 1, *device.engine);
+    const auto v1 = device.rig.install(
+        vendor.release(device.processor.pub, 1, 1));
     ASSERT_TRUE(v1.ok()) << v1.detail;
     EXPECT_EQ(v1.slot, 0u);
 
-    const auto v2 = device.updater->install(
-        vendor.release(device.processor.pub, 2, 2), 1, device.memory,
-        device.vm, 1, *device.engine);
+    const auto v2 = device.rig.install(
+        vendor.release(device.processor.pub, 2, 2));
     ASSERT_TRUE(v2.ok()) << v2.detail;
     EXPECT_EQ(v2.slot, 1u) << "second install lands in slot B";
-    EXPECT_EQ(device.rollback.current("firmware"), 2u);
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 2u);
 
     // The new text is what fetches decrypt to now.
-    xom::SecureLoader loader(device.processor.priv, device.keys);
+    xom::SecureLoader loader(device.processor.priv, device.rig.keys());
     const auto line =
-        loader.fetchLine(0x400000 + 2 * kLine, device.memory,
-                         device.vm, 1, *device.engine, true);
+        loader.fetchLine(0x400000 + 2 * kLine, device.rig.memory(),
+                         device.rig.vm(), 1, device.rig.engine(), true);
     EXPECT_EQ(line, std::vector<uint8_t>(kLine, 0xC0 + 2));
 }
 
@@ -201,14 +179,13 @@ TEST(UpdateRejection, TamperedSectionIsDigestMismatch)
     UpdateBundle bundle = vendor.release(device.processor.pub, 1, 1);
     bundle.image.sections[0].bytes[17] ^= 0x01; // one flipped bit
 
-    const VerifyResult result = device.updater->verify(bundle);
+    const VerifyResult result = device.updater().verify(bundle);
     EXPECT_EQ(result.status, UpdateStatus::DigestMismatch)
         << result.detail;
 
-    const InstallResult installed = device.updater->install(
-        bundle, 1, device.memory, device.vm, 1, *device.engine);
+    const InstallResult installed = device.rig.install(bundle);
     EXPECT_EQ(installed.status, UpdateStatus::DigestMismatch);
-    EXPECT_EQ(device.rollback.current("firmware"), 0u)
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 0u)
         << "a rejected update must not burn the counter";
 }
 
@@ -218,7 +195,7 @@ TEST(UpdateRejection, TamperedCapsuleIsDigestMismatch)
     Device device(13, vendor.builder.publicKey());
     UpdateBundle bundle = vendor.release(device.processor.pub, 1, 1);
     bundle.image.key_capsule[3] ^= 0x80;
-    EXPECT_EQ(device.updater->verify(bundle).status,
+    EXPECT_EQ(device.updater().verify(bundle).status,
               UpdateStatus::DigestMismatch);
 }
 
@@ -228,9 +205,8 @@ TEST(UpdateRejection, ResignedDowngradeIsRollback)
     Device device(15, vendor.builder.publicKey());
 
     // Take v2 (counter 2) live first.
-    const auto v2 = device.updater->install(
-        vendor.release(device.processor.pub, 2, 2), 1, device.memory,
-        device.vm, 1, *device.engine);
+    const auto v2 = device.rig.install(
+        vendor.release(device.processor.pub, 2, 2));
     ASSERT_TRUE(v2.ok()) << v2.detail;
 
     // A *correctly signed* release with a lower counter — the
@@ -238,13 +214,13 @@ TEST(UpdateRejection, ResignedDowngradeIsRollback)
     // old. The counter, not the signature, must kill it.
     const UpdateBundle old_release =
         vendor.release(device.processor.pub, 1, 1);
-    const VerifyResult result = device.updater->verify(old_release);
+    const VerifyResult result = device.updater().verify(old_release);
     EXPECT_EQ(result.status, UpdateStatus::Rollback) << result.detail;
 
     // Equal counter (replay of the installed release) also fails.
     const UpdateBundle replay =
         vendor.release(device.processor.pub, 2, 2);
-    EXPECT_EQ(device.updater->verify(replay).status,
+    EXPECT_EQ(device.updater().verify(replay).status,
               UpdateStatus::Rollback);
 }
 
@@ -256,7 +232,7 @@ TEST(UpdateRejection, OtherProcessorsImageIsWrongProcessor)
 
     const UpdateBundle for_b =
         vendor.release(device_b.processor.pub, 1, 1);
-    const VerifyResult result = device_a.updater->verify(for_b);
+    const VerifyResult result = device_a.updater().verify(for_b);
     EXPECT_EQ(result.status, UpdateStatus::WrongProcessor)
         << result.detail;
 }
@@ -270,20 +246,20 @@ TEST(UpdateRejection, ForgedSignatureIsBadSignature)
     // An impostor with its own key signs an image for our processor.
     UpdateBundle forged =
         impostor.release(device.processor.pub, 1, 1);
-    EXPECT_EQ(device.updater->verify(forged).status,
+    EXPECT_EQ(device.updater().verify(forged).status,
               UpdateStatus::BadSignature);
 
     // A manifest edited after genuine signing also fails.
     UpdateBundle edited = vendor.release(device.processor.pub, 1, 1);
     edited.manifest.rollback_counter = 99;
-    EXPECT_EQ(device.updater->verify(edited).status,
+    EXPECT_EQ(device.updater().verify(edited).status,
               UpdateStatus::BadSignature);
 
     // A corrupted signature fails.
     UpdateBundle corrupted =
         vendor.release(device.processor.pub, 1, 1);
     corrupted.signature[5] ^= 0x10;
-    EXPECT_EQ(device.updater->verify(corrupted).status,
+    EXPECT_EQ(device.updater().verify(corrupted).status,
               UpdateStatus::BadSignature);
 }
 
@@ -340,7 +316,7 @@ TEST(UpdateRejection, TamperedEntryPointIsDigestMismatch)
     Device device(26, vendor.builder.publicKey());
     UpdateBundle bundle = vendor.release(device.processor.pub, 1, 1);
     bundle.image.entry_point = 0xDEAD0000;
-    EXPECT_EQ(device.updater->verify(bundle).status,
+    EXPECT_EQ(device.updater().verify(bundle).status,
               UpdateStatus::DigestMismatch);
 
     // Flipping a section's encryption mode (e.g. to Plaintext) is
@@ -349,7 +325,7 @@ TEST(UpdateRejection, TamperedEntryPointIsDigestMismatch)
         vendor.release(device.processor.pub, 1, 1);
     downgraded.image.sections[0].encryption =
         xom::SectionEncryption::Plaintext;
-    EXPECT_EQ(device.updater->verify(downgraded).status,
+    EXPECT_EQ(device.updater().verify(downgraded).status,
               UpdateStatus::DigestMismatch);
 }
 
@@ -359,10 +335,10 @@ TEST(UpdateRejection, AbsurdLineSizeIsMalformed)
     Device device(28, vendor.builder.publicKey());
     UpdateBundle bundle = vendor.release(device.processor.pub, 1, 1);
     bundle.manifest.line_size = 0;
-    EXPECT_EQ(device.updater->verify(bundle).status,
+    EXPECT_EQ(device.updater().verify(bundle).status,
               UpdateStatus::MalformedBundle);
     bundle.manifest.line_size = 96; // not a power of two
-    EXPECT_EQ(device.updater->verify(bundle).status,
+    EXPECT_EQ(device.updater().verify(bundle).status,
               UpdateStatus::MalformedBundle);
 }
 
@@ -447,49 +423,45 @@ TEST(UpdateStaging, InterruptedStagingKeepsOldImageLive)
     Vendor vendor(30);
     Device device(31, vendor.builder.publicKey());
 
-    const auto v1 = device.updater->install(
-        vendor.release(device.processor.pub, 1, 1), 1, device.memory,
-        device.vm, 1, *device.engine);
+    const auto v1 = device.rig.install(
+        vendor.release(device.processor.pub, 1, 1));
     ASSERT_TRUE(v1.ok()) << v1.detail;
 
     // Stage v2 but "lose power" mid-write: corrupt the staged copy
     // in untrusted memory before activation.
     const UpdateBundle v2 = vendor.release(device.processor.pub, 2, 2);
     const VerifyResult staged =
-        device.updater->stage(v2, device.memory);
+        device.updater().stage(v2, device.rig.memory());
     ASSERT_TRUE(staged.ok()) << staged.detail;
 
     const uint64_t slot_base = 0x4000'0000 +
-                               device.updater->stagingSlot() *
+                               device.updater().stagingSlot() *
                                    (8ull << 20);
     for (uint64_t off = 200; off < 260; ++off)
-        device.memory.corruptByte(slot_base + off, 0xFF);
+        device.rig.memory().corruptByte(slot_base + off, 0xFF);
 
-    const InstallResult activated = device.updater->activate(
-        1, device.memory, device.vm, 1, *device.engine);
+    const InstallResult activated = device.rig.activate();
     EXPECT_EQ(activated.status, UpdateStatus::StagingCorrupt)
         << activated.detail;
 
     // Old image still active, counter not burned, v1 still runs.
-    EXPECT_EQ(device.updater->activeSlot(), 0u);
-    EXPECT_EQ(device.rollback.current("firmware"), 1u);
-    ASSERT_TRUE(device.updater->activeManifest().has_value());
-    EXPECT_EQ(device.updater->activeManifest()->image_version, 1u);
+    EXPECT_EQ(device.updater().activeSlot(), 0u);
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 1u);
+    ASSERT_TRUE(device.updater().activeManifest().has_value());
+    EXPECT_EQ(device.updater().activeManifest()->image_version, 1u);
 
     // Recovery: re-stage the same bundle cleanly and activate.
-    ASSERT_TRUE(device.updater->stage(v2, device.memory).ok());
-    const InstallResult retried = device.updater->activate(
-        1, device.memory, device.vm, 1, *device.engine);
+    ASSERT_TRUE(device.updater().stage(v2, device.rig.memory()).ok());
+    const InstallResult retried = device.rig.activate();
     ASSERT_TRUE(retried.ok()) << retried.detail;
-    EXPECT_EQ(device.rollback.current("firmware"), 2u);
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 2u);
 }
 
 TEST(UpdateStaging, ActivateWithoutStageIsNothingStaged)
 {
     Vendor vendor(32);
     Device device(33, vendor.builder.publicKey());
-    const InstallResult result = device.updater->activate(
-        1, device.memory, device.vm, 1, *device.engine);
+    const InstallResult result = device.rig.activate();
     EXPECT_EQ(result.status, UpdateStatus::NothingStaged);
 }
 
@@ -517,13 +489,12 @@ TEST(UpdateRejection, FullCounterBankIsItsOwnStatus)
     Vendor vendor(29);
     Device device(34, vendor.builder.publicKey());
     // Shrink the device's fuse bank to one slot.
-    RollbackStore tiny(1);
-    UpdateEngine updater(vendor.builder.publicKey(), device.processor,
-                         device.keys, tiny);
+    DeviceRig tiny(vendor.builder.publicKey(), device.processor,
+                   StagingConfig{}, 1);
+    UpdateEngine &updater = tiny.updater();
 
-    const auto first = updater.install(
-        vendor.release(device.processor.pub, 1, 1, "app-one"), 1,
-        device.memory, device.vm, 1, *device.engine);
+    const auto first = tiny.install(
+        vendor.release(device.processor.pub, 1, 1, "app-one"));
     ASSERT_TRUE(first.ok()) << first.detail;
 
     // A fresh title with a perfectly fine counter must be reported
@@ -545,12 +516,10 @@ TEST(UpdateRejection, OversizedBundleIsTooLargeNotFatal)
     Vendor vendor(35);
     Device device(36, vendor.builder.publicKey());
     // A staging slot too small for even a minimal bundle.
-    RollbackStore rollback;
-    UpdateEngine updater(vendor.builder.publicKey(), device.processor,
-                         device.keys, rollback,
-                         StagingConfig{0x4000'0000, 512});
+    DeviceRig small(vendor.builder.publicKey(), device.processor,
+                    StagingConfig{0x4000'0000, 512});
 
-    const VerifyResult result = updater.verify(
+    const VerifyResult result = small.updater().verify(
         vendor.release(device.processor.pub, 1, 1));
     EXPECT_EQ(result.status, UpdateStatus::TooLarge) << result.detail;
 }
@@ -590,14 +559,13 @@ TEST(Attestation, QuoteProvesActiveImage)
 {
     Vendor vendor(40);
     Device device(41, vendor.builder.publicKey());
-    const auto installed = device.updater->install(
-        vendor.release(device.processor.pub, 3, 7), 1, device.memory,
-        device.vm, 1, *device.engine);
+    const auto installed = device.rig.install(
+        vendor.release(device.processor.pub, 3, 7));
     ASSERT_TRUE(installed.ok()) << installed.detail;
 
     Digest nonce = {};
     device.rng.fillBytes(nonce.data(), nonce.size());
-    const AttestationQuote quote = attest(*device.updater, 1, nonce);
+    const AttestationQuote quote = attest(device.updater(), 1, nonce);
 
     EXPECT_TRUE(verifyQuote(device.attestation.pub, quote, nonce));
     EXPECT_EQ(quote.report.image_version, 3u);
@@ -609,16 +577,12 @@ TEST(Attestation, StaleNonceAndTamperedReportRejected)
 {
     Vendor vendor(42);
     Device device(43, vendor.builder.publicKey());
-    ASSERT_TRUE(device.updater
-                    ->install(vendor.release(device.processor.pub, 1,
-                                             1),
-                              1, device.memory, device.vm, 1,
-                              *device.engine)
-                    .ok());
+    ASSERT_TRUE(
+        device.rig.install(vendor.release(device.processor.pub, 1, 1)).ok());
 
     Digest nonce = {};
     nonce[0] = 0xAB;
-    AttestationQuote quote = attest(*device.updater, 1, nonce);
+    AttestationQuote quote = attest(device.updater(), 1, nonce);
 
     Digest other_nonce = nonce;
     other_nonce[0] ^= 1;
@@ -635,15 +599,12 @@ TEST(Attestation, QuoteBindsToProcessorIdentity)
     Vendor vendor(44);
     Device device_a(45, vendor.builder.publicKey());
     Device device_b(46, vendor.builder.publicKey());
-    ASSERT_TRUE(device_a.updater
-                    ->install(vendor.release(device_a.processor.pub, 1,
-                                             1),
-                              1, device_a.memory, device_a.vm, 1,
-                              *device_a.engine)
+    ASSERT_TRUE(device_a.rig
+                    .install(vendor.release(device_a.processor.pub, 1, 1))
                     .ok());
 
     const Digest nonce = {};
-    const AttestationQuote quote = attest(*device_a.updater, 1, nonce);
+    const AttestationQuote quote = attest(device_a.updater(), 1, nonce);
     EXPECT_TRUE(verifyQuote(device_a.attestation.pub, quote, nonce));
     EXPECT_FALSE(verifyQuote(device_b.attestation.pub, quote, nonce))
         << "a quote must not verify as another processor";
@@ -656,15 +617,11 @@ TEST(Attestation, QuoteSignedByAttestationKeyNotUnwrapKey)
     // must never verify under it.
     Vendor vendor(49);
     Device device(52, vendor.builder.publicKey());
-    ASSERT_TRUE(device.updater
-                    ->install(vendor.release(device.processor.pub, 1,
-                                             1),
-                              1, device.memory, device.vm, 1,
-                              *device.engine)
-                    .ok());
+    ASSERT_TRUE(
+        device.rig.install(vendor.release(device.processor.pub, 1, 1)).ok());
 
     const Digest nonce = {};
-    const AttestationQuote quote = attest(*device.updater, 1, nonce);
+    const AttestationQuote quote = attest(device.updater(), 1, nonce);
     EXPECT_TRUE(verifyQuote(device.attestation.pub, quote, nonce));
     EXPECT_FALSE(verifyQuote(device.processor.pub, quote, nonce))
         << "quote must not be a signature under the unwrap key";
@@ -677,17 +634,13 @@ TEST(Attestation, HmacBindingWorksWithSharedKey)
 {
     Vendor vendor(47);
     Device device(48, vendor.builder.publicKey());
-    ASSERT_TRUE(device.updater
-                    ->install(vendor.release(device.processor.pub, 1,
-                                             1),
-                              1, device.memory, device.vm, 1,
-                              *device.engine)
-                    .ok());
+    ASSERT_TRUE(
+        device.rig.install(vendor.release(device.processor.pub, 1, 1)).ok());
 
     const std::vector<uint8_t> session_key = {0x01, 0x02, 0x03, 0x04};
     const Digest nonce = {};
     const AttestationQuote quote =
-        attest(*device.updater, 1, nonce, session_key);
+        attest(device.updater(), 1, nonce, session_key);
 
     EXPECT_TRUE(verifyQuoteMac(session_key, quote, nonce));
     const std::vector<uint8_t> wrong_key = {0x0A, 0x0B};
@@ -701,32 +654,29 @@ TEST(MultiCompartment, IndependentTitlesUpdateIndependently)
     Vendor vendor(50);
     Device device(51, vendor.builder.publicKey());
 
-    const auto app1 = device.updater->install(
-        vendor.release(device.processor.pub, 1, 1, "app-one"), 1,
-        device.memory, device.vm, 1, *device.engine);
+    const auto app1 = device.rig.install(
+        vendor.release(device.processor.pub, 1, 1, "app-one"));
     ASSERT_TRUE(app1.ok()) << app1.detail;
-    const auto app2 = device.updater->install(
-        vendor.release(device.processor.pub, 4, 4, "app-two"), 2,
-        device.memory, device.vm, 2, *device.engine);
+    const auto app2 = device.rig.install(
+        vendor.release(device.processor.pub, 4, 4, "app-two"), 2);
     ASSERT_TRUE(app2.ok()) << app2.detail;
 
-    EXPECT_EQ(device.rollback.current("app-one"), 1u);
-    EXPECT_EQ(device.rollback.current("app-two"), 4u);
-    EXPECT_EQ(device.keys.size(), 2u);
+    EXPECT_EQ(device.rig.rollback().current("app-one"), 1u);
+    EXPECT_EQ(device.rig.rollback().current("app-two"), 4u);
+    EXPECT_EQ(device.rig.keys().size(), 2u);
 
     // app-one can still move 1 -> 2 even though app-two is at 4.
-    const auto upgraded = device.updater->install(
-        vendor.release(device.processor.pub, 2, 2, "app-one"), 1,
-        device.memory, device.vm, 1, *device.engine);
+    const auto upgraded = device.rig.install(
+        vendor.release(device.processor.pub, 2, 2, "app-one"));
     ASSERT_TRUE(upgraded.ok()) << upgraded.detail;
 
     // Per-compartment attestation sees the right images.
     const Digest nonce = {};
-    EXPECT_EQ(attest(*device.updater, 1, nonce).report.title,
+    EXPECT_EQ(attest(device.updater(), 1, nonce).report.title,
               "app-one");
-    EXPECT_EQ(attest(*device.updater, 2, nonce).report.title,
+    EXPECT_EQ(attest(device.updater(), 2, nonce).report.title,
               "app-two");
-    EXPECT_EQ(attest(*device.updater, 1, nonce).report.image_version,
+    EXPECT_EQ(attest(device.updater(), 1, nonce).report.image_version,
               2u);
 }
 

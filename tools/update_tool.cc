@@ -31,11 +31,8 @@
 
 #include "exp/cli.hh"
 #include "obs/trace.hh"
-#include "secure/engines.hh"
 #include "update/attestation.hh"
-#include "update/delta.hh"
-#include "update/image_builder.hh"
-#include "update/update_engine.hh"
+#include "update/device_rig.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -258,36 +255,30 @@ cmdBuild(const Options &options)
     if (!options.delta_base.empty())
         base = loadBundle(options.delta_base);
 
-    xom::PlainProgram program;
-    program.title = options.title;
-    program.entry_point = 0x400000;
-    xom::PlainProgram::PlainSection text;
-    text.name = ".text";
-    text.vaddr = 0x400000;
+    std::vector<uint8_t> text;
     if (!options.text.empty()) {
-        text.bytes = readFile(options.text);
+        text = readFile(options.text);
     } else if (base.has_value()) {
         // Demo payload for a delta release: the base release's demo
         // payload with ~10% of its 64-byte blocks rewritten — the
         // block-level similarity a delta exploits.
         const uint32_t base_version = base->manifest.image_version;
         util::Rng rng(options.seed + base_version);
-        text.bytes.resize(16 * 128);
-        rng.fillBytes(text.bytes.data(), text.bytes.size());
+        text.resize(16 * 128);
+        rng.fillBytes(text.data(), text.size());
         constexpr uint64_t kBlock = 64;
-        const uint64_t blocks = text.bytes.size() / kBlock;
+        const uint64_t blocks = text.size() / kBlock;
         util::Rng mutate(options.seed + options.version);
         for (uint64_t c = 0; c < blocks / 10 + 1; ++c) {
             const uint64_t begin = mutate.nextRange(blocks) * kBlock;
-            mutate.fillBytes(text.bytes.data() + begin, kBlock);
+            mutate.fillBytes(text.data() + begin, kBlock);
         }
     } else {
         // Deterministic demo payload derived from the release.
         util::Rng rng(options.seed + options.version);
-        text.bytes.resize(16 * 128);
-        rng.fillBytes(text.bytes.data(), text.bytes.size());
+        text.resize(16 * 128);
+        rng.fillBytes(text.data(), text.size());
     }
-    program.sections = {text};
 
     UpdateSpec spec;
     spec.image_version = options.version;
@@ -300,9 +291,9 @@ cmdBuild(const Options &options)
 
     util::Rng rng(options.seed);
     const ImageBuilder builder(readKeyPair(options.vendor));
-    const UpdateBundle bundle =
-        builder.build(program, spec, readPublicKey(options.processor),
-                      rng);
+    const UpdateBundle bundle = firmwareBundle(
+        builder, readPublicKey(options.processor), spec,
+        std::move(text), rng, options.title, 0x400000);
     if (base.has_value()) {
         const DeltaBundle delta = builder.buildDelta(*base, bundle);
         const std::vector<uint8_t> delta_bytes = delta.serialize();
@@ -391,28 +382,21 @@ cmdDeltaVerifyOrInstall(const Options &options, bool install)
              "' is not a well-formed delta bundle");
 
     RollbackStore rollback = loadState(options.state);
-    secure::KeyTable keys;
-    UpdateEngine updater(readPublicKey(options.vendor),
-                         readKeyPair(options.processor), keys,
-                         rollback);
+    DeviceRig device(readPublicKey(options.vendor),
+                     readKeyPair(options.processor), rollback);
 
-    mem::MemoryChannel channel;
-    secure::ProtectionConfig config;
-    config.line_size = base.manifest.line_size;
-    config.snc.l2_line_size = base.manifest.line_size;
-    auto engine = secure::makeProtectionEngine(config, channel, keys);
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-
-    const VerifyResult base_admission = updater.verify(base);
-    fatal_if(!base_admission.ok(), "base bundle refused: ",
-             updateStatusName(base_admission.status),
-             " -- ", base_admission.detail);
-    const InstallResult base_install =
-        updater.install(base, 1, memory, vm, 1, *engine);
-    fatal_if(!base_install.ok(), "base bundle did not install: ",
-             updateStatusName(base_install.status),
-             " -- ", base_install.detail);
+    // The rig admits the base before it builds anything from the
+    // base's manifest.
+    const InstallResult base_install = device.install(base);
+    if (!base_install.ok()) {
+        std::cout << "base bundle refused: "
+                  << updateStatusName(base_install.status)
+                  << (base_install.detail.empty()
+                          ? ""
+                          : ": " + base_install.detail)
+                  << "\n";
+        return 1;
+    }
 
     const auto report = [&](const VerifyResult &verdict) {
         std::cout << updateStatusName(verdict.status)
@@ -426,18 +410,19 @@ cmdDeltaVerifyOrInstall(const Options &options, bool install)
     };
 
     if (!install) {
-        const auto rec = updater.reconstructDelta(*delta, memory);
+        const auto rec =
+            device.updater().reconstructDelta(*delta, device.memory());
         report(rec.result);
         return rec.result.ok() ? 0 : 1;
     }
 
-    const VerifyResult staged = updater.stageDelta(*delta, memory);
+    const VerifyResult staged =
+        device.updater().stageDelta(*delta, device.memory());
     if (!staged.ok()) {
         report(staged);
         return 1;
     }
-    const InstallResult result =
-        updater.activate(1, memory, vm, 1, *engine);
+    const InstallResult result = device.activate();
     std::cout << updateStatusName(result.status)
               << (result.detail.empty() ? "" : ": " + result.detail)
               << "\n";
@@ -467,11 +452,9 @@ cmdVerifyOrInstall(const Options &options, bool install)
 
     const UpdateBundle bundle = loadBundle(options.bundle);
     RollbackStore rollback = loadState(options.state);
-
-    secure::KeyTable keys;
-    UpdateEngine updater(readPublicKey(options.vendor),
-                         readKeyPair(options.processor), keys,
-                         rollback);
+    DeviceRig device(readPublicKey(options.vendor),
+                     readKeyPair(options.processor), rollback);
+    UpdateEngine &updater = device.updater();
 
     // Decision instants land at step numbers 0, 1, ... — the
     // functional engine has no cycle clock of its own.
@@ -488,8 +471,6 @@ cmdVerifyOrInstall(const Options &options, bool install)
         std::cout << "wrote trace '" << options.trace_out << "'\n";
     };
 
-    // Admission first: nothing below may depend on unauthenticated
-    // manifest fields (e.g. line_size) until verify() passes.
     const VerifyResult admission = updater.verify(bundle);
     updater.setTraceCycle(1);
     if (!install || !admission.ok()) {
@@ -501,15 +482,7 @@ cmdVerifyOrInstall(const Options &options, bool install)
         return admission.ok() ? 0 : 1;
     }
 
-    mem::MemoryChannel channel;
-    secure::ProtectionConfig config;
-    config.line_size = bundle.manifest.line_size;
-    config.snc.l2_line_size = bundle.manifest.line_size;
-    auto engine = secure::makeProtectionEngine(config, channel, keys);
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    const InstallResult result =
-        updater.install(bundle, 1, memory, vm, 1, *engine);
+    const InstallResult result = device.install(bundle);
     flush_trace();
     std::cout << updateStatusName(result.status)
               << (result.detail.empty() ? "" : ": " + result.detail)
@@ -552,31 +525,13 @@ cmdAttest(const Options &options)
              bundle.manifest.rollback_counter,
              ": device state records counter ", recorded);
 
-    secure::KeyTable keys;
-    const crypto::RsaKeyPair processor =
-        readKeyPair(options.processor);
     const crypto::RsaKeyPair attestation =
         readKeyPair(options.processor + ".att");
-    RollbackStore fresh(rollback.capacity());
-    UpdateEngine updater(readPublicKey(options.vendor), processor,
-                         keys, fresh);
-    updater.setAttestationKey(attestation);
-
-    // Admission before the engine touches unauthenticated fields.
-    const VerifyResult admission = updater.verify(bundle);
-    fatal_if(!admission.ok(),
-             "cannot attest: ", updateStatusName(admission.status),
-             " — ", admission.detail);
-
-    mem::MemoryChannel channel;
-    secure::ProtectionConfig config;
-    config.line_size = bundle.manifest.line_size;
-    config.snc.l2_line_size = bundle.manifest.line_size;
-    auto engine = secure::makeProtectionEngine(config, channel, keys);
-    mem::MainMemory memory;
-    mem::VirtualMemory vm;
-    const InstallResult installed =
-        updater.install(bundle, 1, memory, vm, 1, *engine);
+    DeviceRig device(readPublicKey(options.vendor),
+                     readKeyPair(options.processor), StagingConfig{},
+                     rollback.capacity());
+    device.updater().setAttestationKey(attestation);
+    const InstallResult installed = device.install(bundle);
     fatal_if(!installed.ok(),
              "cannot attest: ", updateStatusName(installed.status),
              " — ", installed.detail);
@@ -588,7 +543,7 @@ cmdAttest(const Options &options)
                     std::min(bytes.size(), nonce.size()),
                     nonce.begin());
     }
-    const AttestationQuote quote = attest(updater, 1, nonce);
+    const AttestationQuote quote = attest(device.updater(), 1, nonce);
     std::cout << "report:\n"
               << "  processor: "
               << util::toHex(quote.report.processor_id.data(), 16)
