@@ -25,8 +25,11 @@ DeviceRig::DeviceRig(crypto::RsaPublicKey vendor_key,
                rollback_, staging),
       system_(system)
 {
-    if (system == nullptr)
+    if (system == nullptr) {
+        // The default line size comes from no bundle field at all.
         plane_.emplace();
+        plane_->fit(secure::ProtectionConfig{}.line_size, keys_);
+    }
 }
 
 DeviceRig::DeviceRig(crypto::RsaPublicKey vendor_key,
@@ -50,10 +53,9 @@ DeviceRig::DeviceRig(crypto::RsaPublicKey vendor_key,
                      crypto::RsaKeyPair processor_key,
                      sim::System &system,
                      const LiveInstallConfig &live_config,
-                     const StagingConfig &staging,
-                     size_t rollback_capacity)
+                     const StagingConfig &staging)
     : DeviceRig(std::move(vendor_key), std::move(processor_key), nullptr,
-                rollback_capacity, staging, &system)
+                64, staging, &system)
 {
     live_.emplace(live_config, system, updater_, 1);
     system.attachAgent(&*live_);
@@ -65,6 +67,15 @@ DeviceRig::~DeviceRig()
         system_->detachAgent(&*live_);
 }
 
+void
+DeviceRig::Plane::fit(uint32_t line_size, const secure::KeyTable &keys)
+{
+    secure::ProtectionConfig config;
+    config.line_size = line_size;
+    config.snc.l2_line_size = line_size;
+    engine = secure::makeProtectionEngine(config, channel, keys);
+}
+
 InstallResult
 DeviceRig::install(const UpdateBundle &bundle,
                    secure::CompartmentId compartment)
@@ -74,29 +85,30 @@ DeviceRig::install(const UpdateBundle &bundle,
         return {staged.status, staged.detail, compartment, 0,
                 updater_.activeSlot()};
     }
-    if (plane_.has_value() && plane_->engine == nullptr) {
-        // stage() just authenticated the manifest's line size.
-        secure::ProtectionConfig config;
-        config.line_size = bundle.manifest.line_size;
-        config.snc.l2_line_size = bundle.manifest.line_size;
-        plane_->engine =
-            secure::makeProtectionEngine(config, plane_->channel, keys_);
-    }
+    // stage() just authenticated the manifest's line size.
+    const uint32_t line_size = bundle.manifest.line_size;
+    if (plane_.has_value() &&
+        plane_->engine->config().line_size != line_size)
+        plane_->fit(line_size, keys_);
     return activate(compartment);
+}
+
+InstallResult
+DeviceRig::installDelta(const DeltaBundle &delta,
+                        secure::CompartmentId compartment)
+{
+    const UpdateEngine::DeltaReconstruction rec =
+        updater_.reconstructDelta(delta, memory());
+    if (!rec.result.ok()) {
+        return {rec.result.status, rec.result.detail, compartment, 0,
+                updater_.activeSlot()};
+    }
+    return install(*rec.bundle, compartment);
 }
 
 InstallResult
 DeviceRig::activate(secure::CompartmentId compartment)
 {
-    if (plane_.has_value() && plane_->engine == nullptr) {
-        panic_if(updater_.stagedPending(),
-                 "stage a functional rig's first bundle through "
-                 "install(): its plane is built from that bundle's "
-                 "verified manifest");
-        return {UpdateStatus::NothingStaged,
-                "no staged update to activate", compartment, 0,
-                updater_.activeSlot()};
-    }
     return updater_.activate(compartment, memory(), vm(), compartment,
                              engine());
 }
@@ -141,11 +153,7 @@ DeviceRig::vm()
 secure::ProtectionEngine &
 DeviceRig::engine()
 {
-    if (!plane_.has_value())
-        return system_->engine();
-    panic_if(plane_->engine == nullptr,
-             "a functional rig's plane is built by its first install()");
-    return *plane_->engine;
+    return plane_.has_value() ? *plane_->engine : system_->engine();
 }
 
 UpdateBundle
@@ -195,7 +203,7 @@ FirmwareVendor::FirmwareVendor(uint64_t seed)
 
 UpdateBundle
 FirmwareVendor::release(uint32_t version, uint64_t image_bytes,
-                        secure::CipherKind cipher, uint64_t base)
+                        secure::CipherKind cipher)
 {
     UpdateSpec spec;
     spec.image_version = version;
@@ -204,7 +212,7 @@ FirmwareVendor::release(uint32_t version, uint64_t image_bytes,
     return firmwareBundle(
         builder, processor.pub, spec,
         std::vector<uint8_t>(image_bytes, static_cast<uint8_t>(version)),
-        rng, "fw", base);
+        rng);
 }
 
 } // namespace secproc::update

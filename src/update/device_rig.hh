@@ -8,9 +8,10 @@
  *
  *  - a bare functional plane (memory channel, protection engine,
  *    MainMemory, VirtualMemory): zero simulated cycles, real bytes.
- *    Its protection engine takes its line size from the first bundle
- *    install() admits, so no plane is ever built from an
- *    unauthenticated manifest field;
+ *    Its protection engine starts at the default 128-byte line and
+ *    is rebuilt only for a bundle whose *verified* manifest names
+ *    another line size, so no plane is ever built from an
+ *    unauthenticated field;
  *  - a caller's sim::System, with a LiveInstall attached to it that
  *    installs into compartment 1 on the machine's own channel,
  *    crypto engine and memory.
@@ -69,12 +70,12 @@ class DeviceRig
               const StagingConfig &staging = {});
 
     /** The update half of @p system (which must outlive the rig): a
-     *  LiveInstall built from @p live_config, already attached. */
+     *  LiveInstall built from @p live_config, already attached, and a
+     *  64-counter rollback bank. */
     DeviceRig(crypto::RsaPublicKey vendor_key,
               crypto::RsaKeyPair processor_key, sim::System &system,
               const LiveInstallConfig &live_config,
-              const StagingConfig &staging = {},
-              size_t rollback_capacity = 64);
+              const StagingConfig &staging = {});
 
     ~DeviceRig();
     DeviceRig(const DeviceRig &) = delete;
@@ -82,15 +83,23 @@ class DeviceRig
 
     /**
      * Stage and activate @p bundle into @p compartment (ASID =
-     * compartment). Staging verifies before it writes a byte; a
-     * functional rig builds its protection engine only after that,
-     * from the verified manifest's line size.
+     * compartment). Staging verifies before it writes a byte; only
+     * then does a functional rig fit its protection engine to the
+     * verified manifest's line size. A refit engine starts with no
+     * line state: images installed under the old line size are not
+     * readable through it.
      */
     InstallResult install(const UpdateBundle &bundle,
                           secure::CompartmentId compartment = 1);
 
-    /** Activate whatever is staged into @p compartment. A functional
-     *  rig activates only once install() has built its plane. */
+    /** install() the bundle @p delta reconstructs against the active
+     *  slot; a reconstruction failure (BaseMismatch, ...) is
+     *  returned as is. */
+    InstallResult installDelta(const DeltaBundle &delta,
+                               secure::CompartmentId compartment = 1);
+
+    /** Activate whatever is staged into @p compartment on the plane
+     *  as it stands. */
     InstallResult activate(secure::CompartmentId compartment = 1);
 
     /** Framed bytes (header + bundle) of the active slot, sized by
@@ -113,8 +122,6 @@ class DeviceRig
 
     mem::MainMemory &memory();
     mem::VirtualMemory &vm();
-    /** The protection engine (a functional rig's exists once
-     *  install() admitted a bundle). */
     secure::ProtectionEngine &engine();
 
   private:
@@ -125,6 +132,9 @@ class DeviceRig
         std::unique_ptr<secure::ProtectionEngine> engine;
         mem::MainMemory memory;
         mem::VirtualMemory vm;
+
+        /** (Re)build engine for @p line_size over @p keys. */
+        void fit(uint32_t line_size, const secure::KeyTable &keys);
     };
 
     DeviceRig(crypto::RsaPublicKey vendor_key,
@@ -184,8 +194,7 @@ struct FirmwareVendor
      *  copies of the byte @p version, drawing from rng. */
     UpdateBundle release(uint32_t version, uint64_t image_bytes,
                          secure::CipherKind cipher =
-                             secure::CipherKind::Des,
-                         uint64_t base = kFirmwareBase);
+                             secure::CipherKind::Des);
 };
 
 } // namespace secproc::update

@@ -180,10 +180,8 @@ TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
 
     DeviceRig delta = functionalDevice(vendor);
     ASSERT_TRUE(delta.install(pair.base).ok());
-    const VerifyResult staged =
-        delta.updater().stageDelta(pair.delta, delta.memory());
-    ASSERT_TRUE(staged.ok()) << staged.detail;
-    ASSERT_TRUE(delta.activate().ok());
+    const InstallResult installed = delta.installDelta(pair.delta);
+    ASSERT_TRUE(installed.ok()) << installed.detail;
 
     // The reconstructed device is indistinguishable from the
     // full-bundle one: same active slot, same slot bytes, same

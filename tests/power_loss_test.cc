@@ -51,7 +51,14 @@ struct Rig
     UpdateBundle
     bundle(uint32_t version, secure::CipherKind cipher)
     {
-        return vendor.release(version, 64 * kLine, cipher, 0x400000);
+        UpdateSpec spec;
+        spec.image_version = version;
+        spec.rollback_counter = version;
+        spec.cipher = cipher;
+        return firmwareBundle(
+            vendor.builder, vendor.processor.pub, spec,
+            std::vector<uint8_t>(64 * kLine, static_cast<uint8_t>(version)),
+            vendor.rng, "fw", 0x400000);
     }
 };
 

@@ -461,8 +461,61 @@ TEST(UpdateStaging, ActivateWithoutStageIsNothingStaged)
 {
     Vendor vendor(32);
     Device device(33, vendor.builder.publicKey());
-    const InstallResult result = device.rig.activate();
-    EXPECT_EQ(result.status, UpdateStatus::NothingStaged);
+    EXPECT_EQ(device.rig.activate().status, UpdateStatus::NothingStaged);
+
+    // An activation consumes the staged slot: a second one has
+    // nothing left to commit and leaves the installed image alone.
+    ASSERT_TRUE(
+        device.rig.install(vendor.release(device.processor.pub, 1, 1))
+            .ok());
+    const InstallResult again = device.rig.activate();
+    EXPECT_EQ(again.status, UpdateStatus::NothingStaged);
+    EXPECT_EQ(again.slot, 0u);
+    EXPECT_EQ(device.rig.rollback().current("firmware"), 1u);
+}
+
+TEST(UpdateStaging, PlaneFollowsTheVerifiedLineSize)
+{
+    Vendor vendor(37);
+    Device device(38, vendor.builder.publicKey());
+    ASSERT_TRUE(
+        device.rig.install(vendor.release(device.processor.pub, 1, 1))
+            .ok());
+    EXPECT_EQ(device.rig.engine().config().line_size, kLine);
+
+    // The next release is cut for 256-byte lines: the plane is
+    // rebuilt for it, and its text decrypts line by line.
+    constexpr uint32_t kWide = 2 * kLine;
+    UpdateSpec spec;
+    spec.image_version = 2;
+    spec.rollback_counter = 2;
+    spec.line_size = kWide;
+    const InstallResult installed = device.rig.install(
+        firmwareBundle(vendor.builder, device.processor.pub, spec,
+                       std::vector<uint8_t>(4 * kWide, 0x5A), vendor.rng,
+                       "firmware", 0x400000));
+    ASSERT_TRUE(installed.ok()) << installed.detail;
+    EXPECT_EQ(device.rig.engine().config().line_size, kWide);
+    EXPECT_EQ(device.rig.engine().config().snc.l2_line_size, kWide);
+
+    xom::SecureLoader loader(device.processor.priv, device.rig.keys());
+    EXPECT_EQ(loader.fetchLine(0x400000 + kWide, device.rig.memory(),
+                               device.rig.vm(), 1, device.rig.engine(),
+                               true),
+              std::vector<uint8_t>(kWide, 0x5A));
+
+    // A manifest line size that is not a power of two is refused
+    // before the plane is touched.
+    spec.image_version = 3;
+    spec.rollback_counter = 3;
+    UpdateBundle odd =
+        firmwareBundle(vendor.builder, device.processor.pub, spec,
+                       std::vector<uint8_t>(4 * kWide, 0x3C), vendor.rng,
+                       "firmware", 0x400000);
+    odd.manifest.line_size = 96;
+    EXPECT_EQ(device.rig.install(odd).status,
+              UpdateStatus::MalformedBundle);
+    EXPECT_EQ(device.rig.engine().config().line_size, kWide);
 }
 
 // ------------------------------------------------------- rollback store

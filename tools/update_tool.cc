@@ -398,7 +398,7 @@ cmdDeltaVerifyOrInstall(const Options &options, bool install)
         return 1;
     }
 
-    const auto report = [&](const VerifyResult &verdict) {
+    const auto report = [&](const auto &verdict) {
         std::cout << updateStatusName(verdict.status)
                   << (verdict.detail.empty() ? ""
                                              : ": " + verdict.detail)
@@ -416,16 +416,8 @@ cmdDeltaVerifyOrInstall(const Options &options, bool install)
         return rec.result.ok() ? 0 : 1;
     }
 
-    const VerifyResult staged =
-        device.updater().stageDelta(*delta, device.memory());
-    if (!staged.ok()) {
-        report(staged);
-        return 1;
-    }
-    const InstallResult result = device.activate();
-    std::cout << updateStatusName(result.status)
-              << (result.detail.empty() ? "" : ": " + result.detail)
-              << "\n";
+    const InstallResult result = device.installDelta(*delta);
+    report(result);
     if (!result.ok())
         return 1;
     std::cout << "'" << delta->manifest.title << "' v"
