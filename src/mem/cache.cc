@@ -233,13 +233,14 @@ Cache::resetStats()
 }
 
 void
-Cache::regStats(util::StatGroup &group) const
+Cache::registerMetrics(obs::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    group.regCounter("hits", &hits_);
-    group.regCounter("misses", &misses_);
-    group.regCounter("evictions", &evictions_);
-    group.regCounter("dirty_evictions", &dirty_evictions_);
-    group.regCounter("rejected_fills", &rejected_fills_);
+    reg.counter(prefix + ".hits", &hits_);
+    reg.counter(prefix + ".misses", &misses_);
+    reg.counter(prefix + ".evictions", &evictions_);
+    reg.counter(prefix + ".dirty_evictions", &dirty_evictions_);
+    reg.counter(prefix + ".rejected_fills", &rejected_fills_);
 }
 
 } // namespace secproc::mem

@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "util/flat_map.hh"
 #include "util/random.hh"
-#include "util/stats.hh"
 
 namespace secproc::mem
 {
@@ -125,8 +125,9 @@ class Cache
     void resetStats();
     /** @} */
 
-    /** Register this cache's statistics with @p group. */
-    void regStats(util::StatGroup &group) const;
+    /** Bind this cache's counters into @p reg as "<prefix>.<stat>". */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
   private:
     struct Line

@@ -81,11 +81,12 @@ DramModel::reset()
 }
 
 void
-DramModel::regStats(util::StatGroup &group) const
+DramModel::registerMetrics(obs::MetricsRegistry &reg,
+                           const std::string &prefix) const
 {
-    group.regCounter("row_hits", &row_hits_);
-    group.regCounter("row_misses", &row_misses_);
-    group.regCounter("row_conflicts", &row_conflicts_);
+    reg.counter(prefix + ".row_hits", &row_hits_);
+    reg.counter(prefix + ".row_misses", &row_misses_);
+    reg.counter(prefix + ".row_conflicts", &row_conflicts_);
 }
 
 } // namespace secproc::mem

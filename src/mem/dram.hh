@@ -21,9 +21,10 @@
 #define SECPROC_MEM_DRAM_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "util/stats.hh"
+#include "obs/metrics.hh"
 
 namespace secproc::mem
 {
@@ -86,7 +87,9 @@ class DramModel
     /** Close all rows and clear occupancy (new run). */
     void reset();
 
-    void regStats(util::StatGroup &group) const;
+    /** Bind the row-buffer counters into @p reg under @p prefix. */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
     const DramConfig &config() const { return config_; }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Unified metrics plane.
+ * Unified metrics plane: the one place secproc names and reports
+ * its statistics.
  *
  * Components own util/stats primitives (Counter, Accumulator,
- * Histogram) or expose accessor functions; a MetricsRegistry binds
- * them under hierarchical dotted names ("channel.agent.core.bytes",
- * "crypto.reserved_operations", "install.phase.stage_write_cycles") so
- * stats rendering, measurement windows and machine-readable dumps
- * all read from one source instead of each report hand-aggregating
- * its components.
+ * Histogram) or expose accessor functions, and each binds its own
+ * into a MetricsRegistry from a registerMetrics() method under
+ * hierarchical dotted names ("l1d.hits", "otp-snc.query_misses",
+ * "channel.dram.row_hits", "channel.agent.core.bytes",
+ * "install.phase.stage_write_cycles"). Stats rendering, measurement
+ * windows and machine-readable dumps all read from this one source
+ * instead of each report hand-aggregating its components.
  *
  * Reading is done through snapshots: a MetricsSnapshot freezes every
  * registered metric's value; snapshot.delta(base) subtracts
@@ -76,12 +78,6 @@ class MetricsRegistry
      * ".p50", ".p90" and ".p99" gauges.
      */
     void histogram(const std::string &name, const util::Histogram *h);
-
-    /**
-     * Bridge a StatGroup: every registered counter/accumulator is
-     * bound under "<group name>.<stat name>".
-     */
-    void group(const util::StatGroup &g);
 
     /** Metrics registered so far (accumulators/histograms expand). */
     size_t size() const { return metrics_.size(); }

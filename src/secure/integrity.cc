@@ -225,12 +225,4 @@ IntegrityEngine::storedMac(uint64_t line_va) const
     return *stored;
 }
 
-void
-IntegrityEngine::regStats(util::StatGroup &group) const
-{
-    group.regCounter("verifications", &verifications_);
-    group.regCounter("node_cache_hits", &node_hits_);
-    group.regCounter("node_cache_misses", &node_misses_);
-}
-
 } // namespace secproc::secure

@@ -134,7 +134,6 @@ class IntegrityEngine
     uint64_t verifications() const { return verifications_.value(); }
     uint64_t nodeCacheHits() const { return node_hits_.value(); }
     uint64_t nodeCacheMisses() const { return node_misses_.value(); }
-    void regStats(util::StatGroup &group) const;
     /** @} */
 
     const IntegrityConfig &config() const { return config_; }

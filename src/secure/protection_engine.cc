@@ -61,11 +61,12 @@ ProtectionEngine::reset()
 }
 
 void
-ProtectionEngine::regStats(util::StatGroup &group) const
+ProtectionEngine::registerMetrics(obs::MetricsRegistry &reg,
+                                  const std::string &prefix) const
 {
-    group.regCounter("fast_fills", &fast_fills_);
-    group.regCounter("slow_fills", &slow_fills_);
-    group.regCounter("plain_fills", &plain_fills_);
+    reg.counter(prefix + ".fast_fills", &fast_fills_);
+    reg.counter(prefix + ".slow_fills", &slow_fills_);
+    reg.counter(prefix + ".plain_fills", &plain_fills_);
 }
 
 const crypto::BlockCipher &
@@ -80,7 +81,13 @@ ProtectionEngine::activeCipher() const
 uint64_t
 ProtectionEngine::makeSeed(uint64_t line_va, uint32_t seqnum) const
 {
-    const uint64_t line_number = line_va / config_.line_size;
+    return otpSeed(line_va, seqnum, config_.line_size);
+}
+
+uint64_t
+otpSeed(uint64_t line_va, uint32_t seqnum, uint32_t line_size)
+{
+    const uint64_t line_number = line_va / line_size;
     // Layout (bits): [63:24] line number, [23:8] seqnum, [7:0] zero.
     // Unlike the paper's literal "seed = VA + seqnum" this is
     // collision-free across fields (see DESIGN.md section 7), and

@@ -35,10 +35,10 @@
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
 #include "mem/virtual_memory.hh"
+#include "obs/metrics.hh"
 #include "secure/key_table.hh"
 #include "secure/snc.hh"
 #include "util/radix_array.hh"
-#include "util/stats.hh"
 
 namespace secproc::secure
 {
@@ -264,8 +264,9 @@ class ProtectionEngine
      */
     virtual void reset();
 
-    /** Statistics registration. */
-    virtual void regStats(util::StatGroup &group) const;
+    /** Bind the engine's counters into @p reg under @p prefix. */
+    virtual void registerMetrics(obs::MetricsRegistry &reg,
+                                 const std::string &prefix) const;
 
     /** Fills that paid serial crypto latency. */
     uint64_t slowFills() const { return slow_fills_.value(); }
@@ -318,9 +319,10 @@ class ProtectionEngine
 
     /**
      * Construct the one-time-pad seed for (line, seqnum) under the
-     * active compartment. Collision-free across lines, sequence
-     * numbers and compartments; intra-line pad blocks are separated
-     * by generatePad()'s per-block tweak (see DESIGN.md).
+     * active compartment: otpSeed() at this engine's line size.
+     * Collision-free across lines, sequence numbers and
+     * compartments; intra-line pad blocks are separated by
+     * generatePad()'s per-block tweak (see DESIGN.md).
      */
     uint64_t makeSeed(uint64_t line_va, uint32_t seqnum) const;
 
@@ -340,6 +342,14 @@ makeProtectionEngine(const ProtectionConfig &config,
 
 /** Human-readable model name. */
 std::string securityModelName(SecurityModel model);
+
+/**
+ * One-time-pad seed of the @p line_size line at @p line_va under
+ * sequence number @p seqnum. The one definition both sides use: the
+ * vendor tool encrypts with exactly the pads the processor
+ * regenerates at fetch time (ProtectionEngine::makeSeed).
+ */
+uint64_t otpSeed(uint64_t line_va, uint32_t seqnum, uint32_t line_size);
 
 } // namespace secproc::secure
 

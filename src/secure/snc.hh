@@ -22,12 +22,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mem/cache.hh"
+#include "obs/metrics.hh"
 #include "util/page_arena.hh"
 #include "util/radix_array.hh"
-#include "util/stats.hh"
 
 namespace secproc::secure
 {
@@ -174,7 +175,8 @@ class SequenceNumberCache
     uint64_t rejectedInstalls() const { return rejected_.value(); }
     uint64_t overflows() const { return overflows_.value(); }
     void resetStats();
-    void regStats(util::StatGroup &group) const;
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
     /** @} */
 
   private:

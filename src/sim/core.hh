@@ -21,10 +21,11 @@
 #define SECPROC_SIM_CORE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/trace.hh"
-#include "util/stats.hh"
 
 namespace secproc::sim
 {
@@ -102,7 +103,9 @@ class OooCore
     /** Restart timing (fresh run; memory system reset separately). */
     void reset();
 
-    void regStats(util::StatGroup &group) const;
+    /** Bind the event-mix counters into @p reg under @p prefix. */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
   private:
     CoreConfig config_;

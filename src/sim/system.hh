@@ -223,14 +223,16 @@ class System : public MemorySystem
 
     /**
      * Register every machine metric with @p reg under its canonical
-     * hierarchical name: the cache/core/engine StatGroups bridged
-     * verbatim, plus channel traffic (total, per category, per
-     * agent), arbiter grants and stalls, crypto-engine occupancy and
-     * measurement anchors ("core.cycles", "l2.accesses", ...). The
-     * registry binds live sources, so one registration serves any
-     * number of later snapshots. Agents registered with the channel
-     * *after* this call are absent — build a fresh registry (as
-     * dumpStats does) to pick them up.
+     * hierarchical name: each cache, the core and the protection
+     * engine bind their own counters under their prefix ("l1d.hits",
+     * "otp-snc.query_misses"), the DRAM model under "channel.dram"
+     * when one is configured, plus channel traffic (total, per
+     * category, per agent), arbiter grants and stalls, crypto-engine
+     * occupancy and measurement anchors ("core.cycles",
+     * "l2.accesses", ...). The registry binds live sources, so one
+     * registration serves any number of later snapshots. Agents
+     * registered with the channel *after* this call are absent —
+     * build a fresh registry (as dumpStats does) to pick them up.
      */
     void registerMetrics(obs::MetricsRegistry &reg) const;
 

@@ -19,6 +19,22 @@ namespace
  *  (header size is update_engine.hh's kSlotHeaderBytes). */
 constexpr uint32_t kSlotMagic = 0x53505354; // "SPST"
 
+/**
+ * The one slot-header decoder: the bundle length @p header announces,
+ * or std::nullopt unless the magic matches and the length lies in
+ * [1, @p capacity].
+ */
+std::optional<uint64_t>
+slotBundleLength(std::span<const uint8_t> header, uint64_t capacity)
+{
+    util::ByteReader reader(header);
+    const uint32_t magic = reader.u32();
+    const uint64_t len = reader.u64();
+    if (magic != kSlotMagic || len == 0 || len > capacity)
+        return std::nullopt;
+    return len;
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -59,13 +75,11 @@ unframeBundleView(std::span<const uint8_t> framed)
 {
     if (framed.size() < kSlotHeaderBytes)
         return std::nullopt;
-    util::ByteReader reader(framed);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > framed.size() - kSlotHeaderBytes)
+    const auto len = slotBundleLength(framed.first(kSlotHeaderBytes),
+                                      framed.size() - kSlotHeaderBytes);
+    if (!len.has_value())
         return std::nullopt;
-    return framed.subspan(kSlotHeaderBytes, len);
+    return framed.subspan(kSlotHeaderBytes, *len);
 }
 
 const char *
@@ -269,15 +283,13 @@ UpdateEngine::stage(const UpdateBundle &bundle, mem::MainMemory &memory)
 std::optional<uint64_t>
 UpdateEngine::framedExtent(uint32_t slot, mem::MainMemory &memory) const
 {
-    std::vector<uint8_t> header(kSlotHeaderBytes);
+    std::array<uint8_t, kSlotHeaderBytes> header{};
     memory.read(slotBase(slot), header.data(), header.size());
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > staging_.slot_size - kSlotHeaderBytes)
+    const auto len =
+        slotBundleLength(header, staging_.slot_size - kSlotHeaderBytes);
+    if (!len.has_value())
         return std::nullopt;
-    return kSlotHeaderBytes + len;
+    return kSlotHeaderBytes + *len;
 }
 
 UpdateEngine::DeltaReconstruction
@@ -307,20 +319,15 @@ UpdateEngine::reconstructDelta(const DeltaBundle &delta,
                  "no active image to apply a delta against"},
                 std::nullopt};
     }
-    const uint64_t base = slotBase(active_slot_);
-    std::vector<uint8_t> header(kSlotHeaderBytes);
-    memory.read(base, header.data(), header.size());
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > staging_.slot_size - kSlotHeaderBytes) {
+    const auto extent = framedExtent(active_slot_, memory);
+    if (!extent.has_value()) {
         return {{UpdateStatus::BaseMismatch,
                  "active slot holds no readable base bundle"},
                 std::nullopt};
     }
-    std::vector<uint8_t> base_bytes(len);
-    memory.read(base + kSlotHeaderBytes, base_bytes.data(), len);
+    std::vector<uint8_t> base_bytes(*extent - kSlotHeaderBytes);
+    memory.read(slotBase(active_slot_) + kSlotHeaderBytes,
+                base_bytes.data(), base_bytes.size());
     const auto base_bundle = UpdateBundle::deserialize(base_bytes);
     if (!base_bundle.has_value()) {
         return {{UpdateStatus::BaseMismatch,
@@ -379,24 +386,19 @@ UpdateEngine::activate(secure::CompartmentId compartment,
     }
 
     const uint32_t slot = stagingSlot();
-    const uint64_t base = slotBase(slot);
 
     // Re-read the slot header from untrusted memory.
-    std::vector<uint8_t> header(kSlotHeaderBytes);
-    memory.read(base, header.data(), header.size());
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > staging_.slot_size - kSlotHeaderBytes) {
+    const auto extent = framedExtent(slot, memory);
+    if (!extent.has_value()) {
         return {UpdateStatus::StagingCorrupt,
                 "staged slot header is damaged (interrupted "
                 "staging write?)",
                 compartment, 0, active_slot_};
     }
 
-    std::vector<uint8_t> bundle_bytes(len);
-    memory.read(base + kSlotHeaderBytes, bundle_bytes.data(), len);
+    std::vector<uint8_t> bundle_bytes(*extent - kSlotHeaderBytes);
+    memory.read(slotBase(slot) + kSlotHeaderBytes, bundle_bytes.data(),
+                bundle_bytes.size());
     const auto staged = UpdateBundle::deserialize(bundle_bytes);
     if (!staged.has_value()) {
         return {UpdateStatus::StagingCorrupt,

@@ -2,18 +2,17 @@
  * @file
  * Lightweight statistics primitives used by every simulation component.
  *
- * The design mirrors gem5's Stats package at a much smaller scale:
- * named scalars and histograms register themselves with a StatGroup so
- * components can be dumped uniformly at the end of a run.
+ * Components hold Counters, Accumulators and Histograms by value and
+ * update them inline on their hot paths. Naming and reporting live in
+ * one place, obs::MetricsRegistry: each component's registerMetrics()
+ * binds its primitives there under "<prefix>.<stat>".
  */
 
 #ifndef SECPROC_UTIL_STATS_HH
 #define SECPROC_UTIL_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace secproc::util
@@ -100,46 +99,6 @@ class Histogram
     uint64_t overflow_ = 0;
     uint64_t total_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * A registry of named statistics owned by one component.
- *
- * Components hold their Counters by value and register pointers here;
- * the group never owns the statistics, it only knows how to print
- * them. Lifetime: the group must not outlive its registrants, which
- * holds because both live in the owning component.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void regCounter(const std::string &stat_name, const Counter *c);
-    void regAccumulator(const std::string &stat_name,
-                        const Accumulator *a);
-
-    /** Dump "group.stat value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-    /** Registered statistics, for registry bridges. @{ */
-    const std::map<std::string, const Counter *> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, const Accumulator *> &
-    accumulators() const
-    {
-        return accumulators_;
-    }
-    /** @} */
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Accumulator *> accumulators_;
 };
 
 } // namespace secproc::util

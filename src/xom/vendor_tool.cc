@@ -6,21 +6,12 @@
 #include "xom/vendor_tool.hh"
 
 #include "crypto/block_cipher.hh"
+#include "secure/protection_engine.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::xom
 {
-
-uint64_t
-vendorSeed(uint64_t line_va, uint32_t seqnum, uint32_t line_size)
-{
-    // Must mirror ProtectionEngine::makeSeed exactly: the processor
-    // regenerates these pads at fetch time.
-    const uint64_t line_number = line_va / line_size;
-    return ((line_number & util::mask(40)) << 24) |
-           ((static_cast<uint64_t>(seqnum) & util::mask(16)) << 8);
-}
 
 ProgramImage
 vendorProtect(const PlainProgram &program, VendorScheme scheme,
@@ -59,7 +50,7 @@ vendorProtect(const PlainProgram &program, VendorScheme scheme,
                  off += line_size) {
                 crypto::otpTransform(
                     *cipher_impl,
-                    vendorSeed(plain.vaddr + off, 0, line_size),
+                    secure::otpSeed(plain.vaddr + off, 0, line_size),
                     section.bytes.data() + off, line_size);
             }
         } else {

@@ -65,15 +65,6 @@ ProgramImage vendorProtect(const PlainProgram &program,
                            const crypto::RsaPublicKey &processor_key,
                            util::Rng &rng, uint32_t line_size = 128);
 
-/**
- * Seed for the OTP encryption of the line at @p line_va with
- * sequence number @p seqnum. Must match
- * ProtectionEngine::makeSeed — the vendor encrypts with exactly the
- * pads the processor will regenerate. Exposed for tests.
- */
-uint64_t vendorSeed(uint64_t line_va, uint32_t seqnum,
-                    uint32_t line_size);
-
 } // namespace secproc::xom
 
 #endif // SECPROC_XOM_VENDOR_TOOL_HH

@@ -20,6 +20,7 @@
 #include "sim/profiles.hh"
 #include "sim/system.hh"
 #include "update/device_rig.hh"
+#include "util/serialize.hh"
 
 namespace
 {
@@ -226,6 +227,44 @@ TEST(Delta, BaseMismatchIsACleanFallbackSignal)
     // The defined fallback always works: the full bundle installs on
     // the very device that just refused the delta.
     EXPECT_TRUE(wrong.install(pair.next).ok());
+}
+
+TEST(Delta, DamagedBaseSlotHeaderIsBaseMismatch)
+{
+    FirmwareVendor vendor(0xDE180);
+    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB1);
+
+    // Damage the active slot's header two ways: a wrong magic, and a
+    // length past the slot's capacity (magic intact).
+    std::vector<uint8_t> bad_magic;
+    util::putU32(bad_magic, 0xDEADBEEF);
+    std::vector<uint8_t> oversize;
+    util::putU64(oversize, kStaging.slot_size);
+    const struct
+    {
+        const char *what;
+        uint64_t offset;
+        std::vector<uint8_t> bytes;
+    } damages[] = {{"magic", 0, bad_magic}, {"length", 4, oversize}};
+
+    for (const auto &damage : damages) {
+        SCOPED_TRACE(damage.what);
+        DeviceRig device = functionalDevice(vendor);
+        ASSERT_TRUE(device.install(pair.base).ok());
+        const UpdateEngine &updater = device.updater();
+        device.memory().write(
+            updater.slotBase(updater.activeSlot()) + damage.offset,
+            damage.bytes.data(), damage.bytes.size());
+
+        const VerifyResult staged =
+            device.updater().stageDelta(pair.delta, device.memory());
+        EXPECT_EQ(staged.status, UpdateStatus::BaseMismatch);
+        EXPECT_EQ(staged.detail,
+                  "active slot holds no readable base bundle");
+
+        // The full bundle is the fallback and still installs here.
+        EXPECT_TRUE(device.install(pair.next).ok());
+    }
 }
 
 TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)

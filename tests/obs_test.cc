@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "crypto/latency.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -78,6 +82,17 @@ TEST(Metrics, SnapshotLookupAndJson)
     ASSERT_TRUE(doc.isObject());
     EXPECT_EQ(doc.at("cache.hits").asU64(), 2u);
     EXPECT_EQ(doc.at("cache.misses").asU64(), 7u);
+
+    // The dumpStats text form: one sorted "name value" line each,
+    // whatever the registration order.
+    util::Counter l2_hits;
+    l2_hits += 10;
+    registry.counter("l2.hits", &l2_hits);
+    registry.counterFn("a.first", [] { return uint64_t{1}; });
+    std::ostringstream os;
+    registry.snapshot().dump(os);
+    EXPECT_EQ(os.str(),
+              "a.first 1\ncache.hits 2\ncache.misses 7\nl2.hits 10\n");
 }
 
 TEST(Metrics, AccumulatorAndHistogramExpand)
@@ -313,6 +328,80 @@ TEST(Metrics, SystemStatsMatchRegistrySnapshot)
     EXPECT_EQ(stats.l2_accesses, window.u64("l2.accesses"));
     EXPECT_EQ(stats.data_bytes, window.u64("channel.data_bytes"));
     EXPECT_EQ(stats.seqnum_bytes, window.u64("channel.seqnum_bytes"));
+}
+
+/** Sorted names of every metric in @p snap that starts with @p prefix. */
+std::vector<std::string>
+namesUnder(const obs::MetricsSnapshot &snap, const std::string &prefix)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : snap.entries()) {
+        if (entry.name.starts_with(prefix))
+            names.push_back(entry.name);
+    }
+    return names;
+}
+
+TEST(Metrics, ComponentNameSurfaceIsPinned)
+{
+    // hostbench's layer ledger and RunStats read these names; a
+    // renamed counter would otherwise read as 0 there, silently.
+    using Names = std::vector<std::string>;
+    const Names l1 = {"dirty_evictions", "evictions", "hits", "misses",
+                      "rejected_fills"};
+    const Names engine_base = {"fast_fills", "plain_fills",
+                               "slow_fills"};
+    const Names otp_snc = {
+        "direct_fallback_fills", "fast_fills", "pad_prediction_hits",
+        "pad_predictions", "plain_fills", "query_hits",
+        "query_miss_fills", "query_misses", "rejected_installs",
+        "seqnum_overflows", "slow_fills", "spills", "update_hits",
+        "update_misses"};
+    const auto prefixed = [](const std::string &prefix, Names names) {
+        for (std::string &name : names)
+            name = prefix + name;
+        return names;
+    };
+    Names l2 = prefixed("l2.", l1);
+    l2.insert(l2.begin(), "l2.accesses");
+    const Names core = {"core.branches", "core.cycles",
+                        "core.instructions", "core.loads",
+                        "core.mispredicts", "core.stores"};
+    const Names dram = {"channel.dram.row_conflicts",
+                        "channel.dram.row_hits",
+                        "channel.dram.row_misses"};
+
+    const struct
+    {
+        secure::SecurityModel model;
+        std::string engine;
+        Names engine_names;
+    } cases[] = {
+        {secure::SecurityModel::Baseline, "baseline", engine_base},
+        {secure::SecurityModel::Xom, "xom", engine_base},
+        {secure::SecurityModel::OtpSnc, "otp-snc", otp_snc},
+    };
+    for (const auto &c : cases) {
+        for (const bool use_dram : {false, true}) {
+            SCOPED_TRACE(c.engine + (use_dram ? " +dram" : ""));
+            sim::SystemConfig config = sim::paperConfig(c.model);
+            config.channel.use_dram = use_dram;
+            sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
+                                            config.l2.line_size);
+            sim::System system(config, workload);
+            system.run(2'000);
+            const obs::MetricsSnapshot snap = system.metrics().snapshot();
+
+            EXPECT_EQ(namesUnder(snap, "l1i."), prefixed("l1i.", l1));
+            EXPECT_EQ(namesUnder(snap, "l1d."), prefixed("l1d.", l1));
+            EXPECT_EQ(namesUnder(snap, "l2."), l2);
+            EXPECT_EQ(namesUnder(snap, "core."), core);
+            EXPECT_EQ(namesUnder(snap, c.engine + "."),
+                      prefixed(c.engine + ".", c.engine_names));
+            EXPECT_EQ(namesUnder(snap, "channel.dram."),
+                      use_dram ? dram : Names{});
+        }
+    }
 }
 
 } // namespace

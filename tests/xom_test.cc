@@ -247,9 +247,9 @@ TEST(Lifecycle, VendorSeedMatchesEngineSeed)
 {
     // The vendor must pre-compute exactly the pads the processor
     // regenerates; this pins the seed layout contract.
-    EXPECT_EQ(vendorSeed(0x400000, 0, 128),
+    EXPECT_EQ(secure::otpSeed(0x400000, 0, 128),
               (uint64_t{0x400000 / 128} << 24));
-    EXPECT_EQ(vendorSeed(0x400000, 7, 128),
+    EXPECT_EQ(secure::otpSeed(0x400000, 7, 128),
               (uint64_t{0x400000 / 128} << 24) | (7u << 8));
 }
 
