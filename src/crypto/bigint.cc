@@ -336,13 +336,6 @@ BigInt::toHex() const
     return out;
 }
 
-uint64_t
-BigInt::toUint64() const
-{
-    panic_if(limbs_.size() > 1, "BigInt does not fit in uint64_t");
-    return limbs_.empty() ? 0 : limbs_[0];
-}
-
 int
 BigInt::compare(const BigInt &other) const
 {

@@ -76,9 +76,6 @@ class BigInt
     /** Lower-case hex string, "0" for zero. */
     std::string toHex() const;
 
-    /** Convert to uint64_t; panics if the value does not fit. */
-    uint64_t toUint64() const;
-
     // Comparisons.
     int compare(const BigInt &other) const;
     bool operator==(const BigInt &o) const { return compare(o) == 0; }

@@ -80,8 +80,6 @@ enum class InstallOutcome : uint8_t
     RolledBack,   ///< reverted to the rollback release after a halt
 };
 
-const char *installOutcomeName(InstallOutcome outcome);
-
 /** One published release and everything the fleet needs to cost it. */
 struct ReleaseInfo
 {

@@ -213,15 +213,6 @@ Cache::setMeta(uint64_t addr, uint64_t value)
     return true;
 }
 
-double
-Cache::missRate() const
-{
-    const uint64_t total = hits_.value() + misses_.value();
-    return total == 0 ? 0.0
-                      : static_cast<double>(misses_.value()) /
-                            static_cast<double>(total);
-}
-
 void
 Cache::resetStats()
 {

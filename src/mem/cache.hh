@@ -121,7 +121,6 @@ class Cache
     uint64_t evictions() const { return evictions_.value(); }
     uint64_t dirtyEvictions() const { return dirty_evictions_.value(); }
     uint64_t rejectedFills() const { return rejected_fills_.value(); }
-    double missRate() const;
     void resetStats();
     /** @} */
 

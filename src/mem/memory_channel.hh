@@ -213,7 +213,7 @@ class MemoryChannel
      * channel activity runs the arbiter at the access's own cycle,
      * which can sit *ahead* of the core's boundary clock (the OoO
      * core's memory ops run ahead of retire), so a grant can park
-     * while every armed wakeup is still in the future. The legacy
+     * while every agent's wakeup is still in the future. The legacy
      * every-step pump collects such grants at the very next
      * boundary; bit-identity requires the event kernel to do the
      * same, and this O(1) flag is how it notices.

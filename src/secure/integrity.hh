@@ -133,13 +133,9 @@ class IntegrityEngine
     /** Statistics. @{ */
     uint64_t verifications() const { return verifications_.value(); }
     uint64_t nodeCacheHits() const { return node_hits_.value(); }
-    uint64_t nodeCacheMisses() const { return node_misses_.value(); }
     /** @} */
 
     const IntegrityConfig &config() const { return config_; }
-
-    /** Tree levels above the leaves for the configured coverage. */
-    uint32_t treeLevels() const { return tree_levels_; }
 
   private:
     IntegrityConfig config_;

@@ -16,8 +16,6 @@
 
 #include <cstdint>
 
-#include "sim/event_queue.hh"
-
 namespace secproc::obs
 {
 class TraceSink;
@@ -25,6 +23,9 @@ class TraceSink;
 
 namespace secproc::sim
 {
+
+/** "No event pending" sentinel cycle. */
+inline constexpr uint64_t kNeverCycle = UINT64_MAX;
 
 /**
  * A self-paced producer of memory-channel transactions and
@@ -49,12 +50,12 @@ class BackgroundAgent
      * Event-kernel contract: a conservative lower bound on the next
      * cycle at which this agent's advance() could change any machine
      * state — its own, the channel's, the crypto engine's or the
-     * functional plane's. The System skips pumping agents across
-     * [now, bound) and pumps *every* agent, in attach order, at the
-     * first core-clock boundary that reaches the earliest bound, so
-     * the pump sequence is a subset of the legacy every-step pump
-     * containing all of its effectful elements — bit-identical
-     * results by construction.
+     * functional plane's. The System's one wakeup rule is the minimum
+     * of these bounds over its agents: it skips pumping across
+     * [now, minimum) and pumps *every* agent, in attach order, at the
+     * first core-clock boundary that reaches it, so the pump sequence
+     * is a subset of the legacy every-step pump containing all of its
+     * effectful elements — bit-identical results by construction.
      *
      * Sources of wakeups an implementation must cover: channel-idle
      * windows and starvation-bound deadlines (via
@@ -62,16 +63,13 @@ class BackgroundAgent
      * ota::Transport::nextArrivalCycle), crypto reservation expiry /
      * self-paced cursors (the agent's own completion cycle).
      *
-     * Returning @p now (or anything <= now) means "pump me at every
-     * boundary" — the default, which makes agents that predate the
-     * contract behave exactly as under the legacy kernel. Return
-     * kNeverCycle when done() and nothing can wake the agent again.
+     * Returning @p now (or anything <= now) means "pump me at the
+     * next boundary"; returning it unconditionally degrades the event
+     * kernel to the legacy one, so every agent must state its bound.
+     * Return kNeverCycle when done() and nothing can wake the agent
+     * again.
      */
-    virtual uint64_t
-    nextEventCycle(uint64_t now) const
-    {
-        return now;
-    }
+    virtual uint64_t nextEventCycle(uint64_t now) const = 0;
 
     /**
      * Drop all in-flight work (machine reset / power cycle). Called

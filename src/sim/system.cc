@@ -401,16 +401,6 @@ System::functionalFill(const secure::FillPlan &plan)
 }
 
 void
-System::functionalEvict(uint64_t line_va, mem::RegionKind kind)
-{
-    const secure::EvictPlan plan = engine_->planEvict(line_va, kind);
-    if (!onchip_.removeInto(line_va, line_scratch_))
-        std::fill(line_scratch_.begin(), line_scratch_.end(), 0);
-    engine_->applyEvict(plan, line_scratch_);
-    memory_.writeLine(vm_.translate(asid_, line_va), line_scratch_);
-}
-
-void
 System::functionalStore(uint64_t vaddr)
 {
     const uint64_t line_va = lineAlign(vaddr);
@@ -469,21 +459,18 @@ System::reset()
     outstanding_.clear();
     for (BackgroundAgent *agent : agents_)
         agent->reset();
-    // Any wakeup armed for the abandoned work is meaningless now;
-    // the next run() re-arms from the agents' post-reset state.
-    wakeups_.clear();
     if (trace_ != nullptr)
         trace_->instant(trace_track_, "machine_reset", core_.cycles());
 }
 
 uint64_t
-System::armWakeups()
+System::nextWakeup() const
 {
-    wakeups_.clear();
     const uint64_t now = core_.cycles();
-    for (size_t i = 0; i < agents_.size(); ++i)
-        wakeups_.schedule(agents_[i]->nextEventCycle(now), i);
-    return wakeups_.nextCycle();
+    uint64_t wake = kNeverCycle;
+    for (const BackgroundAgent *agent : agents_)
+        wake = std::min(wake, agent->nextEventCycle(now));
+    return wake;
 }
 
 void
@@ -509,17 +496,17 @@ System::run(uint64_t instructions)
     // the core clock reaches the earliest one drops only provable
     // no-op pumps. At a reached wakeup *every* agent is advanced in
     // attach order — the exact sub-sequence of the legacy every-step
-    // pump that contains all its effectful elements — and every
-    // wakeup is re-armed against the post-pump state.
+    // pump that contains all its effectful elements — and the
+    // earliest wakeup is recomputed from the post-pump state.
     //
     // The parked-grant check closes the one gap wakeups cannot see:
     // the foreground's own channel accesses run the arbiter at the
     // access cycle, which leads the boundary clock (the core's memory
-    // ops run ahead of retire), so a grant can land while every armed
-    // wakeup is still in the future. Legacy collects such grants at
-    // the very next boundary; so must we. Results are bit-identical
-    // to KernelMode::Legacy; only wall-clock differs.
-    uint64_t next_wake = armWakeups();
+    // ops run ahead of retire), so a grant can land while every
+    // agent's wakeup is still in the future. Legacy collects such
+    // grants at the very next boundary; so must we. Results are
+    // bit-identical to KernelMode::Legacy; only wall-clock differs.
+    uint64_t next_wake = nextWakeup();
     for (uint64_t i = 0; i < instructions; ++i) {
         core_.step(active.next());
         if (core_.cycles() >= next_wake ||
@@ -527,7 +514,7 @@ System::run(uint64_t instructions)
             const uint64_t now = core_.cycles();
             for (BackgroundAgent *agent : agents_)
                 agent->advance(now);
-            next_wake = armWakeups();
+            next_wake = nextWakeup();
         }
     }
 }

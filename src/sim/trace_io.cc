@@ -150,7 +150,7 @@ class Reader
     str()
     {
         const uint64_t len = varint();
-        fatal_if(pos_ + len > bytes_.size(), "trace string truncated");
+        fatal_if(len > remaining(), "trace string truncated");
         std::string s(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
                       bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
         pos_ += len;
@@ -158,6 +158,8 @@ class Reader
     }
 
     bool done() const { return pos_ == bytes_.size(); }
+
+    size_t remaining() const { return bytes_.size() - pos_; }
 
   private:
     std::vector<uint8_t> bytes_;
@@ -350,6 +352,11 @@ readTrace(const std::string &path)
              "trace live-line lists do not match regions");
     for (uint64_t i = 0; i < region_lists; ++i) {
         const uint64_t count = r.varint();
+        // Every live line and every op takes at least one byte, so a
+        // count past the bytes left is a damaged file, not a size to
+        // reserve.
+        fatal_if(count > r.remaining(), "trace file truncated: ", count,
+                 " live lines in ", r.remaining(), " bytes");
         std::vector<uint64_t> lines;
         lines.reserve(count);
         uint64_t prev = 0;
@@ -361,6 +368,8 @@ readTrace(const std::string &path)
     }
 
     const uint64_t ops = r.u64();
+    fatal_if(ops > r.remaining(), "trace file truncated: ", ops,
+             " ops in ", r.remaining(), " bytes");
     image.ops.reserve(ops);
     uint64_t prev_addr = 0;
     uint64_t prev_fetch = 0;

@@ -48,16 +48,6 @@ nextPhase(InstallPhase phase)
 } // namespace
 
 const char *
-installPacingName(InstallPacing pacing)
-{
-    switch (pacing) {
-      case InstallPacing::Fixed: return "fixed";
-      case InstallPacing::Arbiter: return "arbiter";
-    }
-    panic("unknown install pacing");
-}
-
-const char *
 installPhaseName(InstallPhase phase)
 {
     switch (phase) {

@@ -58,7 +58,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/agent.hh"
-#include "sim/event_queue.hh"
 
 namespace secproc::update
 {
@@ -143,9 +142,6 @@ enum class InstallPacing
      */
     Arbiter,
 };
-
-/** Short name for bench labels ("fixed" / "arbiter"). */
-const char *installPacingName(InstallPacing pacing);
 
 /** The install pipeline's phases, in execution order. */
 enum class InstallPhase : uint8_t

@@ -61,15 +61,6 @@ frameBundle(const UpdateBundle &bundle)
     return out;
 }
 
-std::optional<std::vector<uint8_t>>
-unframeBundleBytes(const std::vector<uint8_t> &framed)
-{
-    const auto view = unframeBundleView(framed);
-    if (!view.has_value())
-        return std::nullopt;
-    return std::vector<uint8_t>(view->begin(), view->end());
-}
-
 std::optional<std::span<const uint8_t>>
 unframeBundleView(std::span<const uint8_t> framed)
 {

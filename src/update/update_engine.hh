@@ -123,13 +123,10 @@ std::vector<uint8_t> frameBundle(const UpdateBundle &bundle);
 
 /**
  * Undo frameBundleBytes on bytes read back from untrusted memory.
- * @return the bundle bytes, or std::nullopt when the framing is
- * damaged (torn write, corruption).
+ * No copy: the result borrows @p framed. @return the bundle bytes,
+ * or std::nullopt when the framing is damaged (torn write,
+ * corruption).
  */
-std::optional<std::vector<uint8_t>>
-unframeBundleBytes(const std::vector<uint8_t> &framed);
-
-/** View form of unframeBundleBytes: no copy, borrows @p framed. */
 std::optional<std::span<const uint8_t>>
 unframeBundleView(std::span<const uint8_t> framed);
 
@@ -274,11 +271,6 @@ class UpdateEngine
 
     /** This processor's identity fingerprint. */
     const Digest &processorIdentity() const { return identity_; }
-
-    const crypto::RsaKeyPair &processorKey() const
-    {
-        return processor_key_;
-    }
 
     /**
      * Provision the dedicated attestation signing key. Deliberately

@@ -59,7 +59,6 @@ class Json
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
     bool isObject() const { return type_ == Type::Object; }

@@ -54,7 +54,7 @@ class Accumulator
     double max_ = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, bucketWidth * bucketCount). */
+/** Fixed-bucket histogram over [0, bucket_width * bucketCount). */
 class Histogram
 {
   public:
@@ -71,7 +71,6 @@ class Histogram
     uint64_t overflow() const { return overflow_; }
     uint64_t totalSamples() const { return total_; }
     size_t bucketCount() const { return buckets_.size(); }
-    double bucketWidth() const { return bucket_width_; }
     double mean() const;
 
     /**

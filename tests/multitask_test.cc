@@ -65,10 +65,12 @@ TEST(Workload, VaOffsetPreservesStreamShape)
         const TraceOp &a = plain.next();
         const TraceOp &b = moved.next();
         ASSERT_EQ(a.cls, b.cls);
-        if (a.addr != 0)
+        if (a.addr != 0) {
             ASSERT_EQ(b.addr, a.addr + kTaskStride);
-        if (a.fetch_line != 0)
+        }
+        if (a.fetch_line != 0) {
             ASSERT_EQ(b.fetch_line, a.fetch_line + kTaskStride);
+        }
     }
 }
 

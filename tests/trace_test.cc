@@ -8,6 +8,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "sim/profiles.hh"
 #include "sim/system.hh"
@@ -35,6 +38,22 @@ class TempTrace
   private:
     std::filesystem::path path_;
 };
+
+std::vector<uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
 
 WorkloadProfile
 traceProfile(uint64_t seed)
@@ -168,15 +187,47 @@ TEST(TraceIo, RejectsTruncatedFile)
     TempTrace path("truncated");
     SyntheticWorkload source(traceProfile(5), 128);
     recordTrace(path.str(), source, 500);
+    const std::vector<uint8_t> full = readBytes(path.str());
+    std::vector<std::vector<uint8_t>> damaged;
+
     // Chop the tail off.
-    const auto full = std::filesystem::file_size(path.str());
-    std::filesystem::resize_file(path.str(), full / 2);
-    EXPECT_DEATH_IF_SUPPORTED(
-        {
-            TraceWorkload replay(path.str());
-            (void)replay;
-        },
-        "truncated");
+    damaged.emplace_back(full.begin(), full.begin() + full.size() / 2);
+
+    // A profile-name length that wraps the read position to zero:
+    // magic + version (8 bytes), then a 10-byte varint of 2^64 - 18
+    // in place of the one-byte length of "trace-test".
+    std::vector<uint8_t> wrapped(full.begin(), full.begin() + 8);
+    for (int i = 0; i < 9; ++i)
+        wrapped.push_back(i == 0 ? 0xEE : 0xFF);
+    wrapped.push_back(0x01);
+    wrapped.insert(wrapped.end(), full.begin() + 9, full.end());
+    damaged.push_back(std::move(wrapped));
+
+    // Op counts the file cannot hold. With no ops recorded the count
+    // is the last eight bytes; 2^61 ops overflow a vector's max_size
+    // and 2^40 its allocator.
+    TraceImage empty;
+    empty.profile = traceProfile(5);
+    empty.live_lines.resize(empty.profile.regions.size());
+    writeTrace(path.str(), empty);
+    const std::vector<uint8_t> no_ops = readBytes(path.str());
+    for (const int shift : {61, 40}) {
+        std::vector<uint8_t> bytes = no_ops;
+        for (int i = 0; i < 8; ++i)
+            bytes[bytes.size() - 8 + i] =
+                static_cast<uint8_t>((uint64_t{1} << shift) >> (8 * i));
+        damaged.push_back(std::move(bytes));
+    }
+
+    for (const std::vector<uint8_t> &bytes : damaged) {
+        writeBytes(path.str(), bytes);
+        EXPECT_DEATH_IF_SUPPORTED(
+            {
+                TraceWorkload replay(path.str());
+                (void)replay;
+            },
+            "truncated");
+    }
 }
 
 TEST(TraceIo, RejectsMissingFile)
