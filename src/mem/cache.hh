@@ -6,8 +6,9 @@
  * L1I, L1D, the unified L2 and the Sequence Number Cache (SNC). It
  * tracks tags, dirtiness, a per-line 64-bit metadata word (the L2
  * uses it to remember each line's virtual address as the paper's
- * Section 4 requires; the SNC stores the sequence number itself) and
- * supports LRU, FIFO, Random and no-replacement policies.
+ * Section 4 requires) and supports LRU, FIFO, Random and
+ * no-replacement policies. The SNC keeps its sequence numbers in its
+ * own table indexed by the directory slot this cache reports.
  *
  * The cache stores no data bytes: functional contents live in the
  * OnChipStore / MainMemory pair so the timing model stays compact.
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "util/flat_map.hh"
+#include "util/radix_array.hh"
 #include "util/random.hh"
 
 namespace secproc::mem
@@ -62,6 +63,12 @@ struct Victim
     bool dirty = false;   ///< it held modified data
     uint64_t line_addr = 0; ///< its line address (byte addr of line start)
     uint64_t meta = 0;    ///< its metadata word
+    /**
+     * Directory slot involved: the one fill() wrote the new line
+     * into (whether or not it displaced anything), or the one
+     * invalidate()/invalidateAll() freed.
+     */
+    uint32_t slot = 0;
 };
 
 /**
@@ -73,13 +80,32 @@ struct Victim
 class Cache
 {
   public:
+    /** Slot value meaning "line not present". */
+    static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
     explicit Cache(const CacheConfig &config);
 
+    /**
+     * Look the line up and refresh its recency on a hit.
+     * @return its directory slot (stable until the line leaves),
+     *         or kNoSlot on a miss.
+     */
+    uint32_t accessSlot(uint64_t addr, bool write);
+
     /** @return true and refresh recency if the line is present. */
-    bool access(uint64_t addr, bool write);
+    bool access(uint64_t addr, bool write)
+    {
+        return accessSlot(addr, write) != kNoSlot;
+    }
+
+    /**
+     * Directory slot of a resident line, or kNoSlot; no recency or
+     * statistics side effects.
+     */
+    uint32_t probeSlot(uint64_t addr) const;
 
     /** Presence test with no recency or statistics side effects. */
-    bool probe(uint64_t addr) const;
+    bool probe(uint64_t addr) const { return probeSlot(addr) != kNoSlot; }
 
     /**
      * Insert the line for @p addr.
@@ -95,7 +121,10 @@ class Cache
     /** Remove a line if present. @return its victim record. */
     Victim invalidate(uint64_t addr);
 
-    /** Drop every line; @return all valid victims (for flushes). */
+    /**
+     * Drop every line. @return all valid victims in ascending slot
+     * order (for flushes).
+     */
     std::vector<Victim> invalidateAll();
 
     /** Read the metadata word of a resident line. */
@@ -135,8 +164,6 @@ class Cache
         uint64_t meta = 0;
     };
 
-    static constexpr uint32_t kNil = ~uint32_t{0};
-
     CacheConfig config_;
     unsigned line_shift_;
     uint64_t num_sets_;
@@ -154,13 +181,17 @@ class Cache
 
     /**
      * Low-associativity sets are probed by scanning their ways
-     * directly (a handful of contiguous tag compares beats any hash
-     * lookup); only wide/fully-associative instances (the SNC) keep
-     * the tag map.
+     * directly (a handful of contiguous tag compares beats any
+     * lookup structure); only wide/fully-associative instances (the
+     * SNC) keep the directory.
      */
     bool scan_ways_;
-    /** line number -> index into lines_ (O(1) tag lookup). */
-    util::FlatMap<uint32_t> map_;
+    /**
+     * line number -> index into lines_. A radix array rather than a
+     * hash: the SNC is filled in long sequential runs (priming,
+     * region sweeps) that then share 512-entry groups.
+     */
+    util::RadixArray<uint32_t> map_;
     /** Per-set intrusive recency lists (head = MRU, tail = LRU). */
     std::vector<uint32_t> next_;
     std::vector<uint32_t> prev_;
@@ -180,10 +211,11 @@ class Cache
     void pushBack(uint64_t set, uint32_t idx);
 };
 
-// The lookup path (access / probe / findIdx and the LRU splice) runs
-// a few hundred million times per full-length experiment; defining it
-// here lets the per-access call chain inline into the simulator's
-// memory path instead of crossing a translation unit per probe.
+// The lookup path (accessSlot / probeSlot / findIdx and the LRU
+// splice) runs a few hundred million times per full-length
+// experiment; defining it here lets the per-access call chain inline
+// into the simulator's memory path instead of crossing a translation
+// unit per probe.
 
 inline uint64_t
 Cache::setIndex(uint64_t line_number) const
@@ -202,10 +234,10 @@ Cache::findIdx(uint64_t line_number) const
             if (tags[way] == want)
                 return static_cast<uint32_t>(base + way);
         }
-        return kNil;
+        return kNoSlot;
     }
     const uint32_t *it = map_.find(line_number);
-    return it == nullptr ? kNil : *it;
+    return it == nullptr ? kNoSlot : *it;
 }
 
 inline void
@@ -213,37 +245,37 @@ Cache::unlink(uint64_t set, uint32_t idx)
 {
     const uint32_t p = prev_[idx];
     const uint32_t n = next_[idx];
-    if (p != kNil)
+    if (p != kNoSlot)
         next_[p] = n;
     else
         head_[set] = n;
-    if (n != kNil)
+    if (n != kNoSlot)
         prev_[n] = p;
     else
         tail_[set] = p;
-    prev_[idx] = next_[idx] = kNil;
+    prev_[idx] = next_[idx] = kNoSlot;
 }
 
 inline void
 Cache::pushFront(uint64_t set, uint32_t idx)
 {
-    prev_[idx] = kNil;
+    prev_[idx] = kNoSlot;
     next_[idx] = head_[set];
-    if (head_[set] != kNil)
+    if (head_[set] != kNoSlot)
         prev_[head_[set]] = idx;
     head_[set] = idx;
-    if (tail_[set] == kNil)
+    if (tail_[set] == kNoSlot)
         tail_[set] = idx;
 }
 
-inline bool
-Cache::access(uint64_t addr, bool write)
+inline uint32_t
+Cache::accessSlot(uint64_t addr, bool write)
 {
     const uint64_t line_number = addr >> line_shift_;
     const uint32_t idx = findIdx(line_number);
-    if (idx == kNil) {
+    if (idx == kNoSlot) {
         ++misses_;
-        return false;
+        return kNoSlot;
     }
     ++hits_;
     // FIFO recency is fixed at insertion; only LRU tracks touches.
@@ -258,20 +290,20 @@ Cache::access(uint64_t addr, bool write)
     }
     if (write)
         lines_[idx].dirty = true;
-    return true;
+    return idx;
 }
 
-inline bool
-Cache::probe(uint64_t addr) const
+inline uint32_t
+Cache::probeSlot(uint64_t addr) const
 {
-    return findIdx(addr >> line_shift_) != kNil;
+    return findIdx(addr >> line_shift_);
 }
 
 inline bool
 Cache::setDirty(uint64_t addr)
 {
     const uint32_t idx = findIdx(addr >> line_shift_);
-    if (idx == kNil)
+    if (idx == kNoSlot)
         return false;
     lines_[idx].dirty = true;
     return true;

@@ -57,6 +57,8 @@ OtpEngine::absorbInstall(const SncInstall &install, uint64_t line_va,
 
     // Sectored SNC: the sector fetch brought the neighbours'
     // sequence numbers from memory together; populate their slots.
+    // setEntry() leaves the install's buffers intact, so the list
+    // stays valid through the loop.
     for (const uint64_t other : install.cofetched) {
         if (lineState(other) != LineCipherState::Otp)
             continue;

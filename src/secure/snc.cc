@@ -5,15 +5,17 @@
  * Internally reuses the generic set-associative Cache as the tag
  * directory, one "line" per sector of sector_lines consecutive L2
  * lines (span = l2_line_size * sector_lines, so consecutive sectors
- * map to consecutive sets). Per-sector sequence-number slots live in
- * a side table; with the default sector_lines = 1 this reduces to
- * the paper's one-tag-per-entry organization.
+ * map to consecutive sets). The sequence numbers live in a flat
+ * table indexed by the directory slot the Cache reports; with the
+ * default sector_lines = 1 this reduces to the paper's
+ * one-tag-per-entry organization.
  */
 
 #include "secure/snc.hh"
 
 #include <algorithm>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::secure
@@ -49,53 +51,49 @@ makeCacheConfig(const SncConfig &config)
 
 SequenceNumberCache::SequenceNumberCache(const SncConfig &config)
     : config_(config), cache_(makeCacheConfig(config)),
-      sector_arena_(config.sector_lines * sizeof(uint32_t))
-{}
+      line_shift_(util::floorLog2(config.l2_line_size)),
+      seqnums_(config.entries(), kEmptyEntry)
+{
+    victims_.reserve(config_.sector_lines);
+    cofetched_.reserve(config_.sector_lines);
+}
 
 uint64_t
 SequenceNumberCache::sectorBase(uint64_t line_va) const
 {
-    return line_va / config_.sectorSpan() * config_.sectorSpan();
-}
-
-uint64_t
-SequenceNumberCache::sectorIndex(uint64_t line_va) const
-{
-    return line_va / config_.sectorSpan();
+    // The directory accepted sectorSpan() as a line size, so it is a
+    // power of two (and so are l2_line_size and sector_lines).
+    return line_va & ~(config_.sectorSpan() - 1);
 }
 
 size_t
-SequenceNumberCache::slotIndex(uint64_t line_va) const
+SequenceNumberCache::rowStart(uint32_t slot) const
 {
-    return (line_va % config_.sectorSpan()) / config_.l2_line_size;
+    return size_t{slot} * config_.sector_lines;
 }
 
-uint32_t *
-SequenceNumberCache::slotFor(uint64_t line_va)
+size_t
+SequenceNumberCache::entryIndex(uint32_t slot, uint64_t line_va) const
 {
-    uint32_t *const *sector = sectors_.find(sectorIndex(line_va));
-    if (sector == nullptr)
-        return nullptr;
-    return *sector + slotIndex(line_va);
+    return rowStart(slot) +
+           ((line_va >> line_shift_) & (config_.sector_lines - 1));
 }
 
 std::optional<uint32_t>
 SequenceNumberCache::query(uint64_t line_va)
 {
-    if (!cache_.access(line_va, /*write=*/false)) {
-        ++query_misses_;
-        return std::nullopt;
-    }
-    const uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot) {
-        // Tag present but this line's slot was never populated: the
-        // sequence number is not on chip, which is a miss.
+    const uint32_t slot = cache_.accessSlot(line_va, /*write=*/false);
+    const uint32_t seqnum = slot == mem::Cache::kNoSlot
+                                ? kEmptyEntry
+                                : seqnums_[entryIndex(slot, line_va)];
+    if (seqnum == kEmptyEntry) {
+        // No tag, or a tag whose slot for this line was never
+        // populated: either way the sequence number is not on chip.
         ++query_misses_;
         return std::nullopt;
     }
     ++query_hits_;
-    return *slot;
+    return seqnum;
 }
 
 bool
@@ -107,54 +105,54 @@ SequenceNumberCache::contains(uint64_t line_va) const
 std::optional<uint32_t>
 SequenceNumberCache::peek(uint64_t line_va) const
 {
-    if (!cache_.probe(line_va))
+    const uint32_t slot = cache_.probeSlot(line_va);
+    if (slot == mem::Cache::kNoSlot)
         return std::nullopt;
-    uint32_t *const *sector = sectors_.find(sectorIndex(line_va));
-    if (sector == nullptr)
+    const uint32_t seqnum = seqnums_[entryIndex(slot, line_va)];
+    if (seqnum == kEmptyEntry)
         return std::nullopt;
-    const uint32_t slot = (*sector)[slotIndex(line_va)];
-    if (slot == kEmptySlot)
-        return std::nullopt;
-    return slot;
+    return seqnum;
 }
 
 std::optional<uint32_t>
 SequenceNumberCache::increment(uint64_t line_va)
 {
-    if (!cache_.access(line_va, /*write=*/true)) {
+    const uint32_t slot = cache_.accessSlot(line_va, /*write=*/true);
+    if (slot == mem::Cache::kNoSlot) {
         ++update_misses_;
         return std::nullopt;
     }
-    uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot) {
+    uint32_t &seqnum = seqnums_[entryIndex(slot, line_va)];
+    if (seqnum == kEmptyEntry) {
         ++update_misses_;
         return std::nullopt;
     }
     ++update_hits_;
-    if (*slot >= config_.maxSeqnum()) {
+    if (seqnum >= config_.maxSeqnum()) {
         // Pad-reuse hazard: hardware would trigger a re-encryption
         // epoch here. We wrap and count (see DESIGN.md section 7).
         ++overflows_;
-        *slot = 1;
+        seqnum = 1;
     } else {
-        ++*slot;
+        ++seqnum;
     }
-    return *slot;
+    return seqnum;
 }
 
 SncInstall
 SequenceNumberCache::install(uint64_t line_va, uint32_t seqnum)
 {
     SncInstall result;
+    victims_.clear();
+    cofetched_.clear();
 
     // Resident sector: populate the slot in place, no displacement.
-    if (cache_.access(line_va, /*write=*/true)) {
-        uint32_t *slot = slotFor(line_va);
-        panic_if(slot == nullptr, "SNC directory/slot table divergence");
-        if (*slot == kEmptySlot)
+    if (const uint32_t slot = cache_.accessSlot(line_va, /*write=*/true);
+        slot != mem::Cache::kNoSlot) {
+        uint32_t &entry = seqnums_[entryIndex(slot, line_va)];
+        if (entry == kEmptyEntry)
             ++occupancy_;
-        *slot = seqnum;
+        entry = seqnum;
         result.installed = true;
         return result;
     }
@@ -166,55 +164,48 @@ SequenceNumberCache::install(uint64_t line_va, uint32_t seqnum)
     }
     result.installed = true;
 
+    uint32_t *row = &seqnums_[rowStart(victim->slot)];
     if (victim->valid) {
-        const uint64_t victim_index = sectorIndex(victim->line_addr);
-        uint32_t *const *sector = sectors_.find(victim_index);
-        panic_if(sector == nullptr,
-                 "SNC victim sector has no slot table");
         for (size_t i = 0; i < config_.sector_lines; ++i) {
-            if ((*sector)[i] == kEmptySlot)
+            if (row[i] == kEmptyEntry)
                 continue;
-            result.victims.push_back(SncEntry{
+            victims_.push_back(SncEntry{
                 victim->line_addr + i * config_.l2_line_size,
-                (*sector)[i]});
+                row[i]});
             --occupancy_;
             ++spills_;
         }
-        sector_arena_.release(
-            reinterpret_cast<uint8_t *>(*sector));
-        sectors_.erase(victim_index);
-        if (!result.victims.empty()) {
+        if (!victims_.empty()) {
             result.victim_valid = true;
-            result.victim_line = result.victims.front().line_va;
-            result.victim_seqnum = result.victims.front().seqnum;
+            result.victim_line = victims_.front().line_va;
+            result.victim_seqnum = victims_.front().seqnum;
         }
     }
 
-    const uint64_t base = sectorBase(line_va);
-    uint32_t *&slots = sectors_.touch(sectorIndex(line_va));
-    panic_if(slots != nullptr, "SNC slot table leaked past its tag");
-    slots = reinterpret_cast<uint32_t *>(sector_arena_.allocate());
-    std::fill_n(slots, config_.sector_lines, kEmptySlot);
-    slots[slotIndex(line_va)] = seqnum;
+    std::fill_n(row, config_.sector_lines, kEmptyEntry);
+    seqnums_[entryIndex(victim->slot, line_va)] = seqnum;
     ++occupancy_;
+    const uint64_t base = sectorBase(line_va);
     for (uint32_t i = 0; i < config_.sector_lines; ++i) {
         const uint64_t other = base + uint64_t{i} * config_.l2_line_size;
         if (other != line_va)
-            result.cofetched.push_back(other);
+            cofetched_.push_back(other);
     }
+    result.victims = victims_;
+    result.cofetched = cofetched_;
     return result;
 }
 
 bool
 SequenceNumberCache::setEntry(uint64_t line_va, uint32_t seqnum)
 {
-    if (!cache_.probe(line_va))
+    const uint32_t slot = cache_.probeSlot(line_va);
+    if (slot == mem::Cache::kNoSlot)
         return false;
-    uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot)
+    uint32_t &entry = seqnums_[entryIndex(slot, line_va)];
+    if (entry == kEmptyEntry)
         ++occupancy_;
-    *slot = seqnum;
+    entry = seqnum;
     return true;
 }
 
@@ -223,20 +214,14 @@ SequenceNumberCache::flush()
 {
     std::vector<SncEntry> entries;
     for (const mem::Victim &victim : cache_.invalidateAll()) {
-        uint32_t *const *sector =
-            sectors_.find(sectorIndex(victim.line_addr));
-        if (sector == nullptr)
-            continue;
+        const uint32_t *row = &seqnums_[rowStart(victim.slot)];
         for (size_t i = 0; i < config_.sector_lines; ++i) {
-            if ((*sector)[i] == kEmptySlot)
+            if (row[i] == kEmptyEntry)
                 continue;
             entries.push_back(SncEntry{
-                victim.line_addr + i * config_.l2_line_size,
-                (*sector)[i]});
+                victim.line_addr + i * config_.l2_line_size, row[i]});
         }
     }
-    sectors_.clear();
-    sector_arena_.clear();
     occupancy_ = 0;
     return entries;
 }

@@ -22,13 +22,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "obs/metrics.hh"
-#include "util/page_arena.hh"
-#include "util/radix_array.hh"
 
 namespace secproc::secure
 {
@@ -92,7 +91,13 @@ struct SncEntry
     uint32_t seqnum = 0;
 };
 
-/** Result of installing an entry (query- or update-miss fill). */
+/**
+ * Result of installing an entry (query- or update-miss fill).
+ *
+ * The two lists point into buffers the SNC owns and reuses, so an
+ * install allocates nothing; they stay valid until the next
+ * install() on the same SNC.
+ */
 struct SncInstall
 {
     bool installed = false;     ///< false only under no-replacement
@@ -100,15 +105,15 @@ struct SncInstall
     uint64_t victim_line = 0;   ///< first displaced line's address
     uint32_t victim_seqnum = 0; ///< its sequence number (to spill)
 
-    /** Every displaced entry (== 1 unless the SNC is sectored). */
-    std::vector<SncEntry> victims;
+    /** Every displaced entry (at most 1 unless the SNC is sectored). */
+    std::span<const SncEntry> victims;
 
     /**
      * Sectored only: the other L2 lines of the newly allocated
      * sector. The engine populates the ones it has sequence numbers
      * for (the sector fetch brings them from memory together).
      */
-    std::vector<uint64_t> cofetched;
+    std::span<const uint64_t> cofetched;
 };
 
 /**
@@ -155,7 +160,10 @@ class SequenceNumberCache
      */
     bool setEntry(uint64_t line_va, uint32_t seqnum);
 
-    /** Remove every entry (flush-style context switch). */
+    /**
+     * Remove every entry (flush-style context switch). @return the
+     * entries in ascending directory-slot order.
+     */
     std::vector<SncEntry> flush();
 
     /** Currently resident (populated) entries. */
@@ -180,34 +188,38 @@ class SequenceNumberCache
     /** @} */
 
   private:
-    /** Sentinel for a sector slot holding no sequence number. */
-    static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+    /** Slot-table value for a line with no sequence number on chip. */
+    static constexpr uint32_t kEmptyEntry = ~uint32_t{0};
 
     SncConfig config_;
+    /** Tag directory: one line per sector, keyed by sector span. */
     mem::Cache cache_;
+    /** log2(l2_line_size). */
+    unsigned line_shift_;
 
     /**
-     * Sector index (sector base / sector span) -> per-line slot
-     * table (kEmptySlot = none). Slot tables are fixed-size arena
-     * blocks behind a radix directory: the install/spill churn of a
-     * write-heavy workload used to allocate and free one heap
-     * vector per sector.
+     * The slot table: sequence numbers indexed
+     * [directory slot * sector_lines + line within sector], so the
+     * slot a directory lookup returns locates the entry with no
+     * second lookup (kEmptyEntry = not on chip). A row is meaningful
+     * only while its directory slot holds a tag; install() resets
+     * the row when it fills the slot.
      */
-    util::RadixArray<uint32_t *> sectors_;
-    util::PageArena sector_arena_;
+    std::vector<uint32_t> seqnums_;
     uint64_t occupancy_ = 0;
+
+    /** install()'s reused result buffers (see SncInstall). */
+    std::vector<SncEntry> victims_;
+    std::vector<uint64_t> cofetched_;
 
     /** Sector base address containing @p line_va. */
     uint64_t sectorBase(uint64_t line_va) const;
 
-    /** Radix key of the sector containing @p line_va. */
-    uint64_t sectorIndex(uint64_t line_va) const;
+    /** Index of directory slot @p slot's first slot-table entry. */
+    size_t rowStart(uint32_t slot) const;
 
-    /** Slot index of @p line_va within its sector. */
-    size_t slotIndex(uint64_t line_va) const;
-
-    /** The resident slot for @p line_va, or nullptr. */
-    uint32_t *slotFor(uint64_t line_va);
+    /** Slot-table index of @p line_va, whose sector is in @p slot. */
+    size_t entryIndex(uint32_t slot, uint64_t line_va) const;
 
     util::Counter query_hits_;
     util::Counter query_misses_;

@@ -1,21 +1,18 @@
 /**
  * @file
- * Open-addressing hash map for the simulator's hot uint64-keyed
- * tables (cache directories, sequence-number tables, line-state
- * maps, SNC sectors).
+ * Open-addressing hash map for hot uint64-keyed tables whose keys
+ * are scattered (the OTP engine's pad buffer and pad cache, keyed by
+ * pad seed). Tables keyed by line or page number use
+ * util::RadixArray instead, which keeps sequential runs together.
  *
  * std::unordered_map's node allocation and pointer chasing dominate
- * the profile once the crypto substrate is fast: every simulated
- * memory access walks the L1/L2 directory and the protection
- * engine's line-state and seqnum tables. This map stores slots
- * inline in one contiguous array with linear probing, a strong
- * multiplicative mix (line addresses have zero low bits), and
- * Knuth-style backward-shift deletion so no tombstones accumulate
- * under the install workloads' heavy insert/erase churn.
+ * the profile once the crypto substrate is fast. This map stores
+ * slots inline in one contiguous array with linear probing, a strong
+ * multiplicative mix, and Knuth-style backward-shift deletion so no
+ * tombstones accumulate under insert/erase churn.
  *
- * Deliberately minimal: uint64_t keys only, no iterators (none of
- * the simulator's tables are iterated — lookups, inserts and erases
- * only), pointers invalidated by any mutation. find() returns a
+ * Deliberately minimal: uint64_t keys only, no iterators (its tables
+ * are never iterated — lookups, inserts and erases only), pointers invalidated by any mutation. find() returns a
  * Value* so call sites read naturally and the miss path costs one
  * branch.
  */

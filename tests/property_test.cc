@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <list>
 #include <map>
 #include <tuple>
@@ -276,13 +277,22 @@ struct CacheGeometry
     uint64_t size_bytes;
     uint32_t assoc; // 0 = fully associative
     uint32_t line_size;
+    /** First address of the stream (high bases leave the dense range). */
+    uint64_t base = 0;
 };
 
 class CacheModelEquivalence
     : public ::testing::TestWithParam<CacheGeometry>
 {};
 
-/** Minimal reference: per-set LRU lists with linear search. */
+/**
+ * Minimal reference: per-set LRU lists with a map for lookup. It
+ * also models directory slots, because invalidateAll() reports
+ * victims in slot order: each set hands out free slots from a stack
+ * (slot 0 first, the most recently freed next), an eviction reuses
+ * the victim's slot, and a full flush frees the resident slots
+ * LRU-first behind the ones that were already free.
+ */
 class ReferenceCache
 {
   public:
@@ -292,18 +302,22 @@ class ReferenceCache
         const uint64_t lines = geometry.size_bytes / geometry.line_size;
         ways_ = geometry.assoc == 0 ? lines : geometry.assoc;
         sets_.resize(lines / ways_);
+        for (size_t set = 0; set < sets_.size(); ++set) {
+            for (uint64_t way = ways_; way-- > 0;) {
+                sets_[set].free.push_back(
+                    static_cast<uint32_t>(set * ways_ + way));
+            }
+        }
     }
 
     bool
     access(uint64_t addr)
     {
-        auto &set = setFor(addr);
-        const uint64_t line = addr / geometry_.line_size;
-        const auto it = std::find(set.begin(), set.end(), line);
-        if (it == set.end())
+        const auto it = where_.find(addr / geometry_.line_size);
+        if (it == where_.end())
             return false;
-        set.erase(it);
-        set.push_front(line);
+        Set &set = setFor(addr);
+        set.lru.splice(set.lru.begin(), set.lru, it->second);
         return true;
     }
 
@@ -311,25 +325,73 @@ class ReferenceCache
     uint64_t
     fill(uint64_t addr)
     {
-        auto &set = setFor(addr);
-        const uint64_t line = addr / geometry_.line_size;
-        const auto it = std::find(set.begin(), set.end(), line);
-        if (it != set.end()) {
-            set.erase(it);
-            set.push_front(line);
+        if (access(addr))
             return ~0ull;
-        }
+        Set &set = setFor(addr);
+        const uint64_t line = addr / geometry_.line_size;
         uint64_t victim = ~0ull;
-        if (set.size() == ways_) {
-            victim = set.back();
-            set.pop_back();
+        uint32_t slot;
+        if (!set.free.empty()) {
+            slot = set.free.back();
+            set.free.pop_back();
+        } else {
+            victim = set.lru.back().first;
+            slot = set.lru.back().second;
+            where_.erase(victim);
+            set.lru.pop_back();
         }
-        set.push_front(line);
+        set.lru.emplace_front(line, slot);
+        where_[line] = set.lru.begin();
         return victim;
     }
 
+    /** @return the removed line number, or ~0 if it was absent. */
+    uint64_t
+    invalidate(uint64_t addr)
+    {
+        const uint64_t line = addr / geometry_.line_size;
+        const auto it = where_.find(line);
+        if (it == where_.end())
+            return ~0ull;
+        Set &set = setFor(addr);
+        set.free.push_back(it->second->second);
+        set.lru.erase(it->second);
+        where_.erase(it);
+        return line;
+    }
+
+    /** @return every resident line number in ascending slot order. */
+    std::vector<uint64_t>
+    invalidateAll()
+    {
+        std::map<uint32_t, uint64_t> by_slot;
+        for (Set &set : sets_) {
+            std::vector<uint32_t> free;
+            for (const auto &[line, slot] : set.lru) {
+                by_slot[slot] = line;
+                free.push_back(slot);
+            }
+            free.insert(free.end(), set.free.begin(), set.free.end());
+            set.free = std::move(free);
+            set.lru.clear();
+        }
+        where_.clear();
+        std::vector<uint64_t> lines;
+        for (const auto &entry : by_slot)
+            lines.push_back(entry.second);
+        return lines;
+    }
+
   private:
-    std::list<uint64_t> &
+    using Lru = std::list<std::pair<uint64_t, uint32_t>>; // MRU first
+
+    struct Set
+    {
+        Lru lru;
+        std::vector<uint32_t> free; ///< back = next slot handed out
+    };
+
+    Set &
     setFor(uint64_t addr)
     {
         const uint64_t line = addr / geometry_.line_size;
@@ -338,7 +400,8 @@ class ReferenceCache
 
     CacheGeometry geometry_;
     uint64_t ways_;
-    std::vector<std::list<uint64_t>> sets_;
+    std::vector<Set> sets_;
+    std::map<uint64_t, Lru::iterator> where_;
 };
 
 TEST_P(CacheModelEquivalence, RandomStreamMatchesReference)
@@ -352,40 +415,77 @@ TEST_P(CacheModelEquivalence, RandomStreamMatchesReference)
     mem::Cache cache(config);
     ReferenceCache reference(geometry);
 
-    Rng rng(geometry.size_bytes ^ geometry.line_size);
+    const auto expectVictim = [&](const mem::Victim &victim,
+                                  uint64_t ref_line, uint64_t op) {
+        if (ref_line == ~0ull) {
+            ASSERT_FALSE(victim.valid) << "op " << op;
+        } else {
+            ASSERT_TRUE(victim.valid) << "op " << op;
+            ASSERT_EQ(victim.line_addr, ref_line * geometry.line_size)
+                << "op " << op;
+        }
+    };
+
+    Rng rng(geometry.size_bytes ^ geometry.line_size ^ geometry.base);
     const uint64_t span = geometry.size_bytes * 4;
-    for (int i = 0; i < 20'000; ++i) {
-        const uint64_t addr = rng.nextRange(span);
+    // Long enough to cycle the paper's 32K-line SNC between flushes.
+    const uint64_t lines = geometry.size_bytes / geometry.line_size;
+    const uint64_t ops = std::max<uint64_t>(20'000, 8 * lines);
+    const uint64_t flush_every = ops / 3;
+    for (uint64_t i = 0; i < ops; ++i) {
+        const uint64_t addr = geometry.base + rng.nextRange(span);
+        if (i % flush_every == flush_every - 1) {
+            const std::vector<mem::Victim> victims =
+                cache.invalidateAll();
+            const std::vector<uint64_t> ref_lines =
+                reference.invalidateAll();
+            ASSERT_EQ(victims.size(), ref_lines.size()) << "op " << i;
+            for (size_t v = 0; v < victims.size(); ++v)
+                expectVictim(victims[v], ref_lines[v], i);
+            ASSERT_EQ(cache.occupancy(), 0u);
+            continue;
+        }
+        if (rng.nextRange(16) == 0) {
+            expectVictim(cache.invalidate(addr),
+                         reference.invalidate(addr), i);
+            continue;
+        }
         const bool hit = cache.access(addr, /*write=*/false);
         const bool ref_hit = reference.access(addr);
         ASSERT_EQ(hit, ref_hit) << "op " << i << " addr " << addr;
         if (!hit) {
             const auto victim = cache.fill(addr, false, 0);
-            const uint64_t ref_victim = reference.fill(addr);
             ASSERT_TRUE(victim.has_value());
-            if (ref_victim == ~0ull) {
-                ASSERT_FALSE(victim->valid) << "op " << i;
-            } else {
-                ASSERT_TRUE(victim->valid) << "op " << i;
-                ASSERT_EQ(victim->line_addr / geometry.line_size,
-                          ref_victim)
-                    << "op " << i;
-            }
+            expectVictim(*victim, reference.fill(addr), i);
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelEquivalence,
-    ::testing::Values(CacheGeometry{1024, 1, 64},
-                      CacheGeometry{4096, 4, 64},
-                      CacheGeometry{8192, 0, 128},
-                      CacheGeometry{2048, 2, 32},
-                      CacheGeometry{64 * 1024, 32, 128}),
+    ::testing::Values(
+        CacheGeometry{1024, 1, 64}, CacheGeometry{4096, 4, 64},
+        CacheGeometry{8192, 0, 128}, CacheGeometry{2048, 2, 32},
+        CacheGeometry{64 * 1024, 32, 128},
+        // Above the radix directory's dense range: the SNC's
+        // history filler and the multitask address-space strides.
+        CacheGeometry{8192, 0, 128, 0x7F00'0000'0000ull},
+        CacheGeometry{8192, 0, 128, 1ull << 40},
+        // The paper's SNC: 32K fully associative 128-byte lines.
+        CacheGeometry{32 * 1024 * 128, 0, 128}),
     [](const auto &info) {
-        return std::to_string(info.param.size_bytes) + "B_" +
-               std::to_string(info.param.assoc) + "w_" +
-               std::to_string(info.param.line_size) + "l";
+        std::string name = std::to_string(info.param.size_bytes) +
+                           "B_" + std::to_string(info.param.assoc) +
+                           "w_" + std::to_string(info.param.line_size) +
+                           "l";
+        if (info.param.base != 0) {
+            char base[32];
+            std::snprintf(base, sizeof(base), "_at%llx",
+                          static_cast<unsigned long long>(
+                              info.param.base));
+            name += base;
+        }
+        return name;
     });
 
 // ===================================== workload generator properties

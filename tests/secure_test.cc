@@ -7,12 +7,47 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "mem/memory_channel.hh"
 #include "secure/engines.hh"
 #include "secure/key_table.hh"
 #include "secure/protection_engine.hh"
 #include "secure/snc.hh"
 #include "util/random.hh"
+
+namespace
+{
+
+/** Every global operator new in this binary, for allocation tests. */
+std::atomic<uint64_t> g_allocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    ++g_allocations;
+    if (void *ptr = std::malloc(size == 0 ? 1 : size))
+        return ptr;
+    throw std::bad_alloc();
+}
+
+// Out of line, or GCC inlines free() into delete-expressions and
+// warns that it mismatches operator new.
+[[gnu::noinline]] void
+operator delete(void *ptr) noexcept
+{
+    std::free(ptr);
+}
+
+[[gnu::noinline]] void
+operator delete(void *ptr, std::size_t) noexcept
+{
+    std::free(ptr);
+}
 
 namespace
 {
@@ -146,6 +181,31 @@ TEST(Snc, SetAssociativeConflicts)
     full.install(0 * 4 * kLine, 1);
     full.install(1 * 4 * kLine, 2);
     EXPECT_FALSE(full.install(2 * 4 * kLine, 3).victim_valid);
+}
+
+TEST(Snc, InstallDoesNotAllocate)
+{
+    // The paper's 64 KB fully associative SNC, streamed through twice
+    // its capacity so every install misses and spills a victim. Once
+    // the directory has seen the address range, installs reuse the
+    // SNC's own buffers and allocate nothing, sectored or not.
+    for (const uint32_t sector_lines : {1u, 4u}) {
+        SncConfig config;
+        config.l2_line_size = kLine;
+        config.sector_lines = sector_lines;
+        SequenceNumberCache snc(config);
+        const uint64_t lines = 2 * config.entries();
+        for (uint64_t i = 0; i < lines; ++i)
+            snc.install(i * kLine, 1);
+
+        const uint64_t before = g_allocations.load();
+        uint64_t spilled = 0;
+        for (uint64_t i = 0; i < lines; ++i)
+            spilled += snc.install(i * kLine, 2).victims.size();
+        EXPECT_EQ(g_allocations.load(), before)
+            << sector_lines << " lines per sector";
+        EXPECT_EQ(spilled, lines) << sector_lines << " lines per sector";
+    }
 }
 
 // -------------------------------------------------------------- key table

@@ -436,6 +436,85 @@ TEST(System, DeterministicAcrossRuns)
         << "identical configuration must give identical cycles";
 }
 
+// ------------------------------------------------------- SNC priming
+
+/** FNV-1a over the SNC state a System exposes through the const API. */
+uint64_t
+sncStateDigest(const System &system, const WorkloadProfile &profile,
+               uint64_t line)
+{
+    const auto &otp =
+        static_cast<const secure::OtpEngine &>(system.engine());
+    const secure::SequenceNumberCache &snc = otp.snc();
+    uint64_t digest = 0xcbf29ce484222325ull;
+    const auto mix = [&digest](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            digest ^= (word >> (8 * byte)) & 0xFF;
+            digest *= 0x100000001b3ull;
+        }
+    };
+    const auto mixLine = [&](uint64_t line_va) {
+        const auto seqnum = snc.peek(line_va);
+        mix(seqnum.has_value() ? uint64_t{*seqnum} + 1 : 0);
+    };
+    mix(snc.occupancy());
+    mix(snc.spills());
+    for (const DataRegion &region : profile.regions) {
+        if (region.behavior == RegionBehavior::ConflictStream) {
+            for (uint64_t i = 0; i < region.conflict_lines; ++i)
+                mixLine(region.base + i * region.conflict_stride);
+        } else {
+            for (uint64_t va = region.base;
+                 va < region.base + region.footprint; va += line)
+                mixLine(va);
+        }
+    }
+    // The history filler System::preinitializeRegions installs.
+    for (uint64_t i = 0; i < 32 * 1024; ++i)
+        mixLine(0x7F00'0000'0000ull + i * line);
+    return digest;
+}
+
+TEST(SncPriming, StateMatchesParent)
+{
+    // Digests of the primed SNC (right after construction) and of
+    // the same SNC after 20k instructions, recorded before the SNC
+    // directory moved to a radix tree and a flat slot table. Any
+    // change in victims, LRU order or sequence numbers moves them.
+    struct Expected
+    {
+        const char *bench;
+        bool lru;
+        uint64_t primed;
+        uint64_t after_run;
+    };
+    const Expected cases[] = {
+        {"gcc", true, 0x70865289ed18c116ull, 0xd668b982aeff9d36ull},
+        {"gcc", false, 0x2e180496948e82a5ull, 0x2e180496948e82a5ull},
+        {"ammp", true, 0x37c001653e996b77ull, 0x380d9aece529f3cull},
+        {"ammp", false, 0x5fa1626e67e29ee5ull, 0x69e8b0b432bffc5ull},
+        {"mcf", true, 0xe9741876dc72bb3eull, 0x90c3d62bb2d5ee4full},
+        {"mcf", false, 0x89ff1610e4d086e5ull, 0x401c643a80a081c4ull},
+    };
+    for (const Expected &expected : cases) {
+        SystemConfig config = quickConfig(secure::SecurityModel::OtpSnc);
+        config.protection.snc.allow_replacement = expected.lru;
+        SyntheticWorkload workload(benchmarkProfile(expected.bench),
+                                   config.l2.line_size);
+        System system(config, workload);
+        const uint64_t line = config.l2.line_size;
+        const uint64_t primed =
+            sncStateDigest(system, workload.profile(), line);
+        system.run(20'000);
+        const uint64_t after_run =
+            sncStateDigest(system, workload.profile(), line);
+        EXPECT_EQ(primed, expected.primed)
+            << expected.bench << (expected.lru ? " LRU" : " NoRepl");
+        EXPECT_EQ(after_run, expected.after_run)
+            << expected.bench << (expected.lru ? " LRU" : " NoRepl");
+    }
+}
+
 /** Parameterized: every benchmark runs under every model. */
 class EveryBenchEveryModel
     : public ::testing::TestWithParam<

@@ -119,6 +119,10 @@ TEST(SncSector, VictimSectorSpillsEveryPopulatedEntry)
     EXPECT_EQ(install.victims[1].line_va, 0x0080u);
     EXPECT_EQ(install.victims[1].seqnum, 2u);
     EXPECT_EQ(snc.spills(), 2u);
+    // The new sector reuses the victim's directory slot; none of the
+    // victim's sequence numbers may show through in it.
+    EXPECT_FALSE(snc.contains(0x0280));
+    EXPECT_EQ(snc.occupancy(), 2u);
 }
 
 TEST(SncSector, IncrementOnEmptySlotIsUpdateMiss)
