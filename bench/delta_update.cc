@@ -90,56 +90,22 @@ downlink(bool slow)
     return transport;
 }
 
-/** Payload generation @p generation of the image keyed by @p seed. */
-std::vector<uint8_t>
-payload(uint64_t seed, uint64_t image_bytes, uint32_t generation,
-        double change_fraction)
-{
-    return update::payloadGeneration(
-        image_bytes, generation, change_fraction, seed ^ 0xF111,
-        [seed](uint32_t gen) { return seed ^ (0xD1FFull + gen); });
-}
-
 /**
  * Shared vendor identity per (image size, change fraction): the base
  * and successor releases plus the delta between them are built once
- * and reused by every engine/link variant. Both builds draw the same
- * RNG seed — same symmetric key, so unchanged plaintext lines keep
- * their ciphertext and the delta actually collapses.
+ * and reused by every engine/link variant.
  */
 struct VendorContext
 {
     update::FirmwareVendor vendor;
-    update::UpdateBundle base;
-    update::UpdateBundle next;
-    update::DeltaBundle delta;
+    update::ReleasePair pair;
 
     VendorContext(uint64_t image_bytes, double change_fraction)
         : vendor(0xDE17A'0001 ^ image_bytes ^
-                 static_cast<uint64_t>(change_fraction * 1000.0))
-    {
-        const uint64_t key_seed = vendor.rng.next64();
-        update::UpdateSpec spec;
-        spec.image_version = 1;
-        spec.rollback_counter = 1;
-
-        util::Rng rng_base(key_seed);
-        base = update::firmwareBundle(
-            vendor.builder, vendor.processor.pub, spec,
-            payload(key_seed, image_bytes, 1, change_fraction),
-            rng_base);
-
-        spec.image_version = 2;
-        spec.rollback_counter = 2;
-        spec.base_digest = update::sha256DigestOfImage(base.image);
-        util::Rng rng_next(key_seed);
-        next = update::firmwareBundle(
-            vendor.builder, vendor.processor.pub, spec,
-            payload(key_seed, image_bytes, 2, change_fraction),
-            rng_next);
-
-        delta = vendor.builder.buildDelta(base, next);
-    }
+                 static_cast<uint64_t>(change_fraction * 1000.0)),
+          pair(vendor.releasePair(image_bytes, change_fraction,
+                                  vendor.rng.next64()))
+    {}
 };
 
 VendorContext &
@@ -199,15 +165,15 @@ shipRelease(const std::string &bench, const GridPoint &point,
     update::LiveInstall &live = device.live();
 
     ShipResult result;
-    if (!device.install(ctx.base).ok())
+    if (!device.install(ctx.pair.base).ok())
         return result;
 
     system.run(options.warmup_instructions);
     system.beginMeasurement();
     if (via_delta)
-        live.startDelta(ctx.delta, system.core().cycles());
+        live.startDelta(ctx.pair.delta, system.core().cycles());
     else
-        live.start(ctx.next, system.core().cycles());
+        live.start(ctx.pair.next, system.core().cycles());
     if (window == 0) {
         // Probe: step until the install lands, whatever it takes.
         constexpr uint64_t kStep = 10'000;
@@ -256,8 +222,8 @@ makeCell(const GridPoint &point)
         // reference both shipping modes must reproduce.
         update::DeviceRig reference(ctx.vendor.builder.publicKey(),
                                     ctx.vendor.processor, kStaging);
-        if (!reference.install(ctx.base).ok() ||
-            !reference.install(ctx.next).ok())
+        if (!reference.install(ctx.pair.base).ok() ||
+            !reference.install(ctx.pair.next).ok())
             return exp::CellOutput{};
         const std::vector<uint8_t> reference_slot =
             reference.activeSlotBytes();
@@ -293,11 +259,11 @@ makeCell(const GridPoint &point)
             exp::slowdownPct(alone.cycles, full.cycles);
         const double delta_kb =
             static_cast<double>(update::kSlotHeaderBytes +
-                                ctx.delta.serializedSize()) /
+                                util::encodedSize(ctx.pair.delta)) /
             1024.0;
         const double full_kb =
             static_cast<double>(update::kSlotHeaderBytes +
-                                ctx.next.serializedSize()) /
+                                util::encodedSize(ctx.pair.next)) /
             1024.0;
 
         exp::CellOutput cell;

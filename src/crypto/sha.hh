@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "util/serialize.hh"
+#include "util/wire.hh"
 
 namespace secproc::crypto
 {

@@ -152,8 +152,8 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
         payloadBytes(config_.seed, payload_version, config_.image_bytes,
                      config_.change_fraction),
         bundle_rng, "fleet-fw");
-    info.framed_bytes = update::kSlotHeaderBytes +
-                        info.bundle.serialize().size();
+    info.framed_bytes =
+        update::kSlotHeaderBytes + util::encodedSize(info.bundle);
 
     const update::InstallPlan plan = update::InstallPlan::fromBundle(
         info.framed_bytes, info.bundle.image.totalBytes(),
@@ -165,8 +165,8 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
 
     if (base != nullptr) {
         info.delta = builder_.buildDelta(base->bundle, info.bundle);
-        info.delta_framed_bytes = update::kSlotHeaderBytes +
-                                  info.delta.serializedSize();
+        info.delta_framed_bytes =
+            update::kSlotHeaderBytes + util::encodedSize(info.delta);
         const update::InstallPlan delta_plan =
             update::InstallPlan::fromDelta(info.delta_framed_bytes,
                                            base->framed_bytes, plan,

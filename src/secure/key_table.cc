@@ -46,19 +46,6 @@ cipherKeySize(CipherKind kind)
     panic("unknown cipher kind");
 }
 
-std::optional<CipherKind>
-cipherKindFromU32(uint32_t v)
-{
-    switch (v) {
-      case static_cast<uint32_t>(CipherKind::Des):
-      case static_cast<uint32_t>(CipherKind::TripleDes):
-      case static_cast<uint32_t>(CipherKind::Aes128):
-        return static_cast<CipherKind>(v);
-      default:
-        return std::nullopt;
-    }
-}
-
 void
 KeyTable::install(CompartmentId id, CipherKind kind,
                   const std::vector<uint8_t> &key)

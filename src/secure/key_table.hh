@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -75,13 +74,12 @@ makeCipher(CipherKind kind, const std::vector<uint8_t> &key);
 size_t cipherKeySize(CipherKind kind);
 
 /**
- * Validate an untrusted wire value against the known cipher kinds.
- * Parsers MUST route enum fields through this instead of a raw
- * static_cast: an out-of-range kind would otherwise travel as a
- * "valid" CipherKind until cipherKeySize()/makeCipher() panic — a
- * remote DoS from one attacker-controlled u32.
+ * The last cipher kind. Wire readers reject any larger value: an
+ * out-of-range kind would otherwise travel as a "valid" CipherKind
+ * until cipherKeySize()/makeCipher() panic — a remote DoS from one
+ * attacker-controlled u32.
  */
-std::optional<CipherKind> cipherKindFromU32(uint32_t v);
+inline constexpr CipherKind kLastCipherKind = CipherKind::Aes128;
 
 } // namespace secproc::secure
 

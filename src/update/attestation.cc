@@ -6,33 +6,9 @@
 #include "update/attestation.hh"
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace secproc::update
 {
-
-namespace
-{
-
-constexpr uint32_t kReportMagic = 0x53505154; // "SPQT"
-
-} // namespace
-
-std::vector<uint8_t>
-AttestationReport::serialize() const
-{
-    using namespace util;
-    std::vector<uint8_t> out;
-    putU32(out, kReportMagic);
-    putArray(out, processor_id);
-    putU32(out, compartment);
-    putString(out, title);
-    putU32(out, image_version);
-    putU64(out, rollback_counter);
-    putArray(out, image_digest);
-    putArray(out, nonce);
-    return out;
-}
 
 AttestationQuote
 attest(const UpdateEngine &engine, secure::CompartmentId compartment,
@@ -53,7 +29,7 @@ attest(const UpdateEngine &engine, secure::CompartmentId compartment,
     quote.report.image_digest = manifest->image_digest;
     quote.report.nonce = nonce;
 
-    const std::vector<uint8_t> bytes = quote.report.serialize();
+    const std::vector<uint8_t> bytes = util::encode(quote.report);
     const Digest digest = sha256Digest(bytes);
     // Signed with the dedicated attestation key, never the capsule
     // unwrap key (see UpdateEngine::setAttestationKey).
@@ -73,7 +49,7 @@ verifyQuote(const crypto::RsaPublicKey &attestation_pub,
 {
     if (quote.report.nonce != nonce)
         return false;
-    const Digest digest = sha256Digest(quote.report.serialize());
+    const Digest digest = sha256Digest(util::encode(quote.report));
     return crypto::rsaVerifyDigest(attestation_pub,
                                    {digest.begin(), digest.end()},
                                    quote.signature);
@@ -85,7 +61,7 @@ verifyQuoteMac(const std::vector<uint8_t> &session_key,
 {
     if (quote.report.nonce != nonce)
         return false;
-    const std::vector<uint8_t> bytes = quote.report.serialize();
+    const std::vector<uint8_t> bytes = util::encode(quote.report);
     return quote.mac == crypto::hmacSha256(session_key.data(),
                                            session_key.size(),
                                            bytes.data(), bytes.size());

@@ -41,8 +41,20 @@ struct AttestationReport
     /** Verifier-chosen challenge echoed back for freshness. */
     Digest nonce = {};
 
-    /** Canonical byte form the signature/MAC covers. */
-    std::vector<uint8_t> serialize() const;
+    /** The wire layout the signature/MAC covers (write-only). */
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &report)
+    {
+        w.tag(0x53505154) // "SPQT"
+            .bytes(report.processor_id)
+            .u32(report.compartment)
+            .str(report.title)
+            .u32(report.image_version)
+            .u64(report.rollback_counter)
+            .bytes(report.image_digest)
+            .bytes(report.nonce);
+    }
 };
 
 /** A report plus its authenticity binding. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Delta bundle serialization, diff and apply.
+ * Delta diff and apply.
  */
 
 #include "update/delta.hh"
@@ -8,16 +8,12 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/serialize.hh"
-
 namespace secproc::update
 {
 
 namespace
 {
 
-constexpr uint32_t kDeltaMagic = 0x53505544; // "SPUD"
-constexpr uint32_t kMaxSections = 1024;
 /** Aligned diff granularity. Small enough to catch sub-line edits,
  *  large enough that op overhead (~20 B) stays ~3% of a copy run. */
 constexpr uint64_t kDiffBlock = 64;
@@ -52,7 +48,6 @@ class OpBuilder
         }
         DeltaOp &op = ops_.back();
         op.literal.insert(op.literal.end(), data, data + len);
-        op.length = op.literal.size();
     }
 
     std::vector<DeltaOp> take() { return std::move(ops_); }
@@ -104,121 +99,6 @@ DeltaBundle::literalBytes() const
     for (const DeltaSection &section : sections)
         total += section.literalBytes();
     return total;
-}
-
-void
-DeltaBundle::serializeTo(util::ByteSink &sink) const
-{
-    using namespace util;
-    putU32(sink, kDeltaMagic);
-    putU32(sink, kFormatVersion);
-    putBlob(sink, manifest.serialize());
-    putBlob(sink, signature);
-    putBlob(sink, key_capsule);
-    putU32(sink, static_cast<uint32_t>(sections.size()));
-    for (const DeltaSection &section : sections) {
-        putString(sink, section.name);
-        putU64(sink, section.vaddr);
-        putU32(sink, static_cast<uint32_t>(section.encryption));
-        putU64(sink, section.out_size);
-        putU32(sink, static_cast<uint32_t>(section.ops.size()));
-        for (const DeltaOp &op : section.ops) {
-            putU32(sink, static_cast<uint32_t>(op.kind));
-            if (op.kind == DeltaOp::Kind::Copy) {
-                putU64(sink, op.src_offset);
-                putU64(sink, op.length);
-            } else {
-                putBlob(sink, op.literal);
-            }
-        }
-    }
-}
-
-uint64_t
-DeltaBundle::serializedSize() const
-{
-    util::CountingSink counter;
-    serializeTo(counter);
-    return counter.total();
-}
-
-std::vector<uint8_t>
-DeltaBundle::serialize() const
-{
-    std::vector<uint8_t> out;
-    out.reserve(serializedSize());
-    util::VectorSink sink(out);
-    serializeTo(sink);
-    return out;
-}
-
-std::optional<DeltaBundle>
-DeltaBundle::deserialize(const std::vector<uint8_t> &data)
-{
-    return deserialize(std::span<const uint8_t>(data));
-}
-
-std::optional<DeltaBundle>
-DeltaBundle::deserialize(std::span<const uint8_t> data)
-{
-    util::ByteReader reader(data);
-    if (reader.u32() != kDeltaMagic)
-        return std::nullopt;
-    if (reader.u32() != kFormatVersion)
-        return std::nullopt;
-    const std::span<const uint8_t> manifest_bytes = reader.blobView();
-    const auto manifest = UpdateManifest::deserialize(manifest_bytes);
-    if (!manifest.has_value())
-        return std::nullopt;
-
-    DeltaBundle delta;
-    delta.manifest = *manifest;
-    delta.signature = reader.blob();
-    delta.key_capsule = reader.blob();
-    const uint32_t nsections = reader.u32();
-    if (!reader.ok() || nsections > kMaxSections)
-        return std::nullopt;
-    for (uint32_t i = 0; i < nsections; ++i) {
-        DeltaSection section;
-        section.name = reader.str();
-        section.vaddr = reader.u64();
-        const uint32_t encryption = reader.u32();
-        if (encryption >
-            static_cast<uint32_t>(xom::SectionEncryption::Plaintext))
-            return std::nullopt;
-        section.encryption =
-            static_cast<xom::SectionEncryption>(encryption);
-        section.out_size = reader.u64();
-        const uint32_t nops = reader.u32();
-        if (!reader.ok())
-            return std::nullopt;
-        // Every op consumes ≥4 bytes of input, so nops is implicitly
-        // bounded by the buffer; no separate cap needed to stop an
-        // allocation bomb (the reserve below is what would amplify).
-        for (uint32_t j = 0; j < nops; ++j) {
-            DeltaOp op;
-            const uint32_t kind = reader.u32();
-            if (kind == static_cast<uint32_t>(DeltaOp::Kind::Copy)) {
-                op.kind = DeltaOp::Kind::Copy;
-                op.src_offset = reader.u64();
-                op.length = reader.u64();
-            } else if (kind ==
-                       static_cast<uint32_t>(DeltaOp::Kind::Literal)) {
-                op.kind = DeltaOp::Kind::Literal;
-                op.literal = reader.blob();
-                op.length = op.literal.size();
-            } else {
-                return std::nullopt;
-            }
-            if (!reader.ok())
-                return std::nullopt;
-            section.ops.push_back(std::move(op));
-        }
-        delta.sections.push_back(std::move(section));
-    }
-    if (!reader.atEnd())
-        return std::nullopt;
-    return delta;
 }
 
 std::vector<DeltaSection>

@@ -17,13 +17,6 @@
  * for, so a tampered delta dies as MalformedBundle/DigestMismatch,
  * never in a panic.
  *
- * Wire format (little-endian, length-prefixed via util/serialize):
- *   magic "SPUD" | u32 version | manifest blob | signature blob |
- *   capsule blob | u32 nsections |
- *   { name | u64 vaddr | u32 encryption | u64 out_size | u32 nops |
- *     { u32 kind=0 (copy)    | u64 src_offset | u64 length
- *     | u32 kind=1 (literal) | blob }... }...
- *
  * Deltas only collapse bytes when the vendor builds base and next
  * with the same symmetric key and section layout: OTP/VA-seed
  * encryption keys ciphertext by (K_s, vaddr), so unchanged plaintext
@@ -61,7 +54,7 @@ struct DeltaOp
 
     Kind kind = Kind::Literal;
     uint64_t src_offset = 0; ///< Copy only.
-    uint64_t length = 0;     ///< Copy only; literal.size() otherwise.
+    uint64_t length = 0;     ///< Copy only.
     std::vector<uint8_t> literal;
 };
 
@@ -100,19 +93,43 @@ struct DeltaBundle
     std::vector<uint8_t> key_capsule;
     std::vector<DeltaSection> sections;
 
-    std::vector<uint8_t> serialize() const;
-    void serializeTo(util::ByteSink &sink) const;
-    uint64_t serializedSize() const;
+    /** The wire layout. Each op takes at least 4 bytes, so the bytes
+     *  that remain bound an op count better than any fixed cap. */
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &delta)
+    {
+        const auto op = [](auto &ow, auto &o) {
+            ow.enumeration(o.kind, DeltaOp::Kind::Literal);
+            if (o.kind == DeltaOp::Kind::Copy)
+                ow.u64(o.src_offset).u64(o.length);
+            else
+                ow.blob(o.literal);
+        };
+        const auto section = [op](auto &sw, auto &s) {
+            sw.str(s.name)
+                .u64(s.vaddr)
+                .enumeration(s.encryption, xom::SectionEncryption::Plaintext)
+                .u64(s.out_size)
+                .list(s.ops, UINT32_MAX, op);
+        };
+        w.tag(0x53505544) // "SPUD"
+            .tag(kFormatVersion)
+            .nested32(delta.manifest)
+            .blob(delta.signature)
+            .blob(delta.key_capsule)
+            .list(delta.sections, xom::ProgramImage::kMaxSections, section);
+    }
 
     /** Total Literal bytes across sections + capsule. */
     uint64_t literalBytes() const;
 
-    /** Parse; std::nullopt on malformed/truncated input. @{ */
+    /** Parse; std::nullopt on malformed/truncated input. */
     static std::optional<DeltaBundle>
-    deserialize(const std::vector<uint8_t> &data);
-    static std::optional<DeltaBundle>
-    deserialize(std::span<const uint8_t> data);
-    /** @} */
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<DeltaBundle>(data);
+    }
 };
 
 /**

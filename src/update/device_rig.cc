@@ -215,4 +215,28 @@ FirmwareVendor::release(uint32_t version, uint64_t image_bytes,
         rng);
 }
 
+ReleasePair
+FirmwareVendor::releasePair(uint64_t image_bytes, double change_fraction,
+                            uint64_t key_seed) const
+{
+    const auto text = [&](uint32_t generation) {
+        return payloadGeneration(
+            image_bytes, generation, change_fraction, key_seed ^ 0xF111,
+            [key_seed](uint32_t g) { return key_seed ^ (0xD1FFull + g); });
+    };
+    UpdateSpec spec;
+    ReleasePair pair;
+    util::Rng rng_base(key_seed);
+    pair.base = firmwareBundle(builder, processor.pub, spec, text(1),
+                               rng_base);
+    spec.image_version = 2;
+    spec.rollback_counter = 2;
+    spec.base_digest = sha256DigestOfImage(pair.base.image);
+    util::Rng rng_next(key_seed);
+    pair.next = firmwareBundle(builder, processor.pub, spec, text(2),
+                               rng_next);
+    pair.delta = builder.buildDelta(pair.base, pair.next);
+    return pair;
+}
+
 } // namespace secproc::update

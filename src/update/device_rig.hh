@@ -179,6 +179,14 @@ payloadGeneration(uint64_t image_bytes, uint32_t generation,
                   double change_fraction, uint64_t fill_seed,
                   const std::function<uint64_t(uint32_t)> &mutate_seed);
 
+/** Two consecutive releases and the delta between them. */
+struct ReleasePair
+{
+    UpdateBundle base;
+    UpdateBundle next;
+    DeltaBundle delta;
+};
+
 /** A vendor and the one processor it ships to, from one seed. */
 struct FirmwareVendor
 {
@@ -195,6 +203,17 @@ struct FirmwareVendor
     UpdateBundle release(uint32_t version, uint64_t image_bytes,
                          secure::CipherKind cipher =
                              secure::CipherKind::Des);
+
+    /**
+     * Releases 1 and 2 of an @p image_bytes firmware whose successor
+     * rewrites @p change_fraction of its 64-byte blocks, and the
+     * delta between them. Both builds draw the RNG stream
+     * @p key_seed (one symmetric key, so unchanged plaintext keeps
+     * its ciphertext) and release 2 signs release 1's image digest,
+     * so the delta collapses.
+     */
+    ReleasePair releasePair(uint64_t image_bytes, double change_fraction,
+                            uint64_t key_seed) const;
 };
 
 } // namespace secproc::update

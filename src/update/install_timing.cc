@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::update
@@ -19,12 +20,6 @@ namespace
 /** Base address every line of a bare replay uses (DRAM bank
  *  selection only; no bytes move). */
 constexpr uint64_t kStagingBase = 0x4000'0000;
-
-uint64_t
-ceilDiv(uint64_t value, uint64_t unit)
-{
-    return (value + unit - 1) / unit;
-}
 
 /** Successor in the install pipeline (sole ordering map). */
 InstallPhase
@@ -69,9 +64,9 @@ InstallPlan::fromBundle(uint64_t framed_bytes, uint64_t image_bytes,
                         uint32_t line_bytes)
 {
     InstallPlan plan;
-    plan.stage_lines = ceilDiv(framed_bytes, line_bytes);
+    plan.stage_lines = util::divCeil(framed_bytes, line_bytes);
     plan.verify_lines = plan.stage_lines;
-    plan.load_lines = ceilDiv(image_bytes, line_bytes);
+    plan.load_lines = util::divCeil(image_bytes, line_bytes);
     return plan;
 }
 
@@ -81,9 +76,9 @@ InstallPlan::fromImageBytes(uint64_t image_bytes, uint32_t line_bytes)
     InstallPlan plan;
     // Manifest + signature framing is small next to the image; one
     // line covers it for any realistic bundle.
-    plan.stage_lines = 1 + ceilDiv(image_bytes, line_bytes);
+    plan.stage_lines = 1 + util::divCeil(image_bytes, line_bytes);
     plan.verify_lines = plan.stage_lines;
-    plan.load_lines = ceilDiv(image_bytes, line_bytes);
+    plan.load_lines = util::divCeil(image_bytes, line_bytes);
     return plan;
 }
 
@@ -94,8 +89,9 @@ InstallPlan::fromDelta(uint64_t delta_framed_bytes,
                        uint32_t line_bytes)
 {
     InstallPlan plan = reconstructed;
-    plan.admission_lines = ceilDiv(delta_framed_bytes, line_bytes) +
-                           ceilDiv(base_framed_bytes, line_bytes);
+    plan.admission_lines =
+        util::divCeil(delta_framed_bytes, line_bytes) +
+        util::divCeil(base_framed_bytes, line_bytes);
     return plan;
 }
 

@@ -81,7 +81,7 @@ LiveInstall::startDelta(const DeltaBundle &delta, uint64_t cycle)
 {
     fatal_if(!done(), "an install is already in flight");
     delta_mode_ = true;
-    framed_ = frameBundleBytes(delta.serialize());
+    framed_ = frameBundle(delta);
     framed_slot_.clear();
     // The base-bundle readback is part of admission's channel bill;
     // its extent comes from the active slot's header. An unreadable
@@ -117,7 +117,7 @@ LiveInstall::beginInstall(const InstallPlan &plan, uint64_t cycle)
 
     const uint32_t line_bytes = lineBytes();
     const uint64_t transport_lines =
-        (framed_.size() + line_bytes - 1) / line_bytes;
+        util::divCeil(framed_.size(), line_bytes);
     line_missing_.assign(transport_lines, 0);
     line_ready_.assign(transport_lines, 0);
     for (uint64_t i = 0; i < transport_lines; ++i) {
@@ -172,8 +172,7 @@ LiveInstall::holdResumedChunks(uint64_t cycle)
     // verification exactly like a torn download.
     const uint32_t line_bytes = lineBytes();
     const uint32_t chunk_bytes = transport_.config().chunk_bytes;
-    const uint64_t nchunks =
-        (framed_.size() + chunk_bytes - 1) / chunk_bytes;
+    const uint64_t nchunks = util::divCeil(framed_.size(), chunk_bytes);
     std::vector<bool> held(nchunks, false);
     std::vector<uint8_t> copy;
     for (uint64_t c = 0; c < nchunks; ++c) {

@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,7 @@ struct UpdateManifest
     secure::CipherKind cipher = secure::CipherKind::Des;
     uint64_t entry_point = 0;
     uint32_t line_size = 128;
-    /** Digest of the whole serialized ProgramImage. */
+    /** Digest of the whole encoded ProgramImage. */
     Digest image_digest = {};
     /** Digest of the RSA key capsule inside the image. */
     Digest capsule_digest = {};
@@ -89,27 +90,49 @@ struct UpdateManifest
     /** True when base_digest names a base image (any nonzero byte). */
     bool hasBase() const;
 
-    /** Canonical byte form — the exact bytes the vendor signs. */
-    std::vector<uint8_t> serialize() const;
+    /** The wire layout: the exact bytes the vendor signs. */
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &manifest)
+    {
+        const auto section = [](auto &sw, auto &sd) {
+            sw.str(sd.name).u64(sd.vaddr).u64(sd.size).bytes(sd.digest);
+        };
+        w.tag(0x5350554D) // "SPUM"
+            .tag(kFormatVersion)
+            .str(manifest.title)
+            .u32(manifest.image_version)
+            .u64(manifest.rollback_counter)
+            .bytes(manifest.processor_id)
+            .enumeration(manifest.cipher, secure::kLastCipherKind)
+            .u64(manifest.entry_point)
+            .u32(manifest.line_size)
+            .bytes(manifest.image_digest)
+            .bytes(manifest.capsule_digest)
+            .bytes(manifest.base_digest)
+            .list(manifest.sections, xom::ProgramImage::kMaxSections,
+                  section);
+    }
 
-    /** Parse; std::nullopt on malformed/truncated input. @{ */
+    std::vector<uint8_t> serialize() const { return util::encode(*this); }
+
+    /** Parse; std::nullopt on malformed/truncated input. */
     static std::optional<UpdateManifest>
-    deserialize(const std::vector<uint8_t> &data);
-    static std::optional<UpdateManifest>
-    deserialize(std::span<const uint8_t> data);
-    /** @} */
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<UpdateManifest>(data);
+    }
 
     /** SHA-256 over serialize(); the value rsaSignDigest signs. */
     Digest digest() const;
 };
 
 /** SHA-256 over a byte buffer as a Digest value. */
-Digest sha256Digest(const uint8_t *data, size_t len);
-Digest sha256Digest(const std::vector<uint8_t> &data);
+Digest sha256Digest(std::span<const uint8_t> data);
 
 /**
- * SHA-256 of image.serialize() without materializing the bytes —
- * same value as sha256Digest(image.serialize()), minus the
+ * SHA-256 of util::encode(image), streamed — same value as
+ * sha256Digest(util::encode(image)), minus the
  * multi-megabyte allocation and copy. Every verify re-runs this at
  * a trust boundary, so the copy was the memory plane's single
  * largest hidden cost.
@@ -142,29 +165,36 @@ struct UpdateBundle
     std::vector<uint8_t> signature;
     xom::ProgramImage image;
 
-    /** Flat byte form for files and staging slots. */
-    std::vector<uint8_t> serialize() const;
-
-    /** Stream the exact serialize() byte sequence into @p sink. */
-    void serializeTo(util::ByteSink &sink) const;
-
-    /** Bytes serialize() would produce. */
-    uint64_t serializedSize() const;
+    /**
+     * The wire layout. The image is framed by a u64 length (format
+     * rev 2): its encoded size can pass the u32 range, and the rev-1
+     * u32 frame silently truncated it for >=4 GiB images.
+     */
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &bundle)
+    {
+        w.tag(0x53505542) // "SPUB"
+            .nested32(bundle.manifest)
+            .blob(bundle.signature)
+            .nested64(bundle.image);
+    }
 
     /**
      * Parse; std::nullopt on malformed/truncated input (an
      * interrupted staging write, a corrupted download). Arbitrary
      * corruption is reported, never fatal; integrity of the parsed
      * contents is established by UpdateEngine::verify, which every
-     * consumer must (and does) run before trusting the bundle. The
-     * span form parses a view in place (no per-layer copies of the
-     * multi-megabyte image blob). @{
+     * consumer must (and does) run before trusting the bundle; a
+     * digest check here would add no authentication, only a full
+     * hash per parse. The manifest and image are parsed from views
+     * into @p data (no per-layer copies of the image blob).
      */
     static std::optional<UpdateBundle>
-    deserialize(const std::vector<uint8_t> &data);
-    static std::optional<UpdateBundle>
-    deserialize(std::span<const uint8_t> data);
-    /** @} */
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<UpdateBundle>(data);
+    }
 };
 
 } // namespace secproc::update

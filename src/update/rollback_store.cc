@@ -5,8 +5,9 @@
 
 #include "update/rollback_store.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace secproc::update
 {
@@ -14,22 +15,30 @@ namespace secproc::update
 namespace
 {
 
-constexpr uint32_t kMagic = 0x53505243; // "SPRC"
+/** First counter whose title is not below @p title. */
+template <class Counters>
+auto
+lowerBound(Counters &counters, const std::string &title)
+{
+    return std::lower_bound(
+        counters.begin(), counters.end(), title,
+        [](const auto &c, const std::string &t) { return c.title < t; });
+}
 
 } // namespace
 
 uint64_t
 RollbackStore::current(const std::string &title) const
 {
-    const auto it = counters_.find(title);
-    return it == counters_.end() ? 0 : it->second;
+    const auto it = lowerBound(counters_, title);
+    return it != counters_.end() && it->title == title ? it->value : 0;
 }
 
 bool
 RollbackStore::hasSlotFor(const std::string &title) const
 {
-    return counters_.count(title) > 0 ||
-           counters_.size() < capacity_;
+    // Tracked titles are exactly those with a nonzero counter.
+    return current(title) != 0 || counters_.size() < capacity_;
 }
 
 bool
@@ -45,50 +54,25 @@ RollbackStore::commit(const std::string &title, uint64_t counter)
     panic_if(counter <= current(title),
              "rollback counter for '", title, "' would shrink: ",
              current(title), " -> ", counter);
-    fatal_if(counters_.count(title) == 0 &&
-                 counters_.size() >= capacity_,
+    const auto it = lowerBound(counters_, title);
+    if (it != counters_.end() && it->title == title) {
+        it->value = counter;
+        return;
+    }
+    fatal_if(counters_.size() >= capacity_,
              "rollback store full (", capacity_, " slots)");
-    counters_[title] = counter;
+    counters_.insert(it, Counter{title, counter});
 }
 
-std::vector<uint8_t>
-RollbackStore::serialize() const
+bool
+RollbackStore::validate() const
 {
-    using namespace util;
-    std::vector<uint8_t> out;
-    putU32(out, kMagic);
-    putU64(out, capacity_);
-    putU32(out, static_cast<uint32_t>(counters_.size()));
-    for (const auto &[title, counter] : counters_) {
-        putString(out, title);
-        putU64(out, counter);
+    for (size_t i = 0; i < counters_.size(); ++i) {
+        if (counters_[i].value == 0 ||
+            (i > 0 && counters_[i - 1].title >= counters_[i].title))
+            return false;
     }
-    return out;
-}
-
-std::optional<RollbackStore>
-RollbackStore::deserialize(const std::vector<uint8_t> &data)
-{
-    util::ByteReader reader(data);
-    if (reader.u32() != kMagic)
-        return std::nullopt;
-    const uint64_t capacity = reader.u64();
-    const uint32_t count = reader.u32();
-    if (!reader.ok())
-        return std::nullopt;
-
-    RollbackStore store(static_cast<size_t>(capacity));
-    for (uint32_t i = 0; i < count; ++i) {
-        const std::string title = reader.str();
-        const uint64_t counter = reader.u64();
-        if (!reader.ok() || counter == 0 ||
-            !store.wouldAccept(title, counter))
-            return std::nullopt;
-        store.commit(title, counter);
-    }
-    if (!reader.atEnd())
-        return std::nullopt;
-    return store;
+    return true;
 }
 
 } // namespace secproc::update

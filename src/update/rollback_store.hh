@@ -16,10 +16,12 @@
 #define SECPROC_UPDATE_ROLLBACK_STORE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/wire.hh"
 
 namespace secproc::update
 {
@@ -61,16 +63,41 @@ class RollbackStore
     size_t size() const { return counters_.size(); }
     size_t capacity() const { return capacity_; }
 
-    /** Persistence across simulated reboots. @{ */
-    std::vector<uint8_t> serialize() const;
+    /** Persistence across simulated reboots. */
     static std::optional<RollbackStore>
-    deserialize(const std::vector<uint8_t> &data);
-    /** @} */
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<RollbackStore>(data);
+    }
 
   private:
+    friend struct util::WireAccess;
+
+    struct Counter
+    {
+        std::string title;
+        uint64_t value = 0;
+    };
+
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &store)
+    {
+        const auto counter = [](auto &cw, auto &c) {
+            cw.str(c.title).u64(c.value);
+        };
+        w.tag(0x53505243) // "SPRC"
+            .u64(store.capacity_)
+            .list(store.counters_, store.capacity_, counter);
+    }
+
+    /** Titles strictly ascending and every counter past 0: the only
+     *  banks commit() can build. */
+    bool validate() const;
+
     size_t capacity_;
-    /** Ordered so serialization is canonical. */
-    std::map<std::string, uint64_t> counters_;
+    /** Sorted by title, so the encoding is canonical. */
+    std::vector<Counter> counters_;
 };
 
 } // namespace secproc::update

@@ -7,22 +7,11 @@
 
 #include <algorithm>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace secproc::update
 {
-
-namespace
-{
-
-constexpr uint32_t kJournalMagic = 0x53504A4C; // "SPJL"
-constexpr uint32_t kJournalVersion = 1;
-/** Parse-time allocation cap: 8 MiB slots at 64-byte chunks is
- *  16 KiB of bitmap; anything near this is already absurd. */
-constexpr uint64_t kMaxBitmapBytes = 1ull << 20;
-
-} // namespace
 
 const StagingJournal::SlotRecord *
 StagingJournal::record(uint32_t slot) const
@@ -44,9 +33,6 @@ StagingJournal::begin(uint32_t slot, const Digest &digest,
 {
     panic_if(chunk_bytes == 0, "staging journal chunk size 0");
     SlotRecord *rec = record(slot);
-    const uint64_t chunks =
-        (total_bytes + chunk_bytes - 1) / chunk_bytes;
-    const uint64_t bitmap_bytes = (chunks + 7) / 8;
     if (rec->valid && rec->digest == digest &&
         rec->total_bytes == total_bytes &&
         rec->chunk_bytes == chunk_bytes)
@@ -55,7 +41,8 @@ StagingJournal::begin(uint32_t slot, const Digest &digest,
     rec->digest = digest;
     rec->total_bytes = total_bytes;
     rec->chunk_bytes = chunk_bytes;
-    rec->bitmap.assign(bitmap_bytes, 0);
+    rec->bitmap.assign(
+        util::divCeil(util::divCeil(total_bytes, chunk_bytes), 8), 0);
     return false;
 }
 
@@ -84,8 +71,7 @@ StagingJournal::chunkCount(uint32_t slot) const
     const SlotRecord *rec = record(slot);
     if (!rec->valid)
         return 0;
-    return (rec->total_bytes + rec->chunk_bytes - 1) /
-           rec->chunk_bytes;
+    return util::divCeil(rec->total_bytes, rec->chunk_bytes);
 }
 
 uint64_t
@@ -120,62 +106,21 @@ StagingJournal::active(uint32_t slot) const
     return record(slot)->valid;
 }
 
-std::vector<uint8_t>
-StagingJournal::serialize() const
+bool
+StagingJournal::validate() const
 {
-    using namespace util;
-    std::vector<uint8_t> out;
-    putU32(out, kJournalMagic);
-    putU32(out, kJournalVersion);
-    putU32(out, static_cast<uint32_t>(slots_.size()));
-    for (const SlotRecord &rec : slots_) {
-        putU32(out, rec.valid ? 1u : 0u);
-        putArray(out, rec.digest);
-        putU64(out, rec.total_bytes);
-        putU32(out, rec.chunk_bytes);
-        putBlob(out, rec.bitmap);
-    }
-    return out;
-}
-
-std::optional<StagingJournal>
-StagingJournal::deserialize(const std::vector<uint8_t> &data)
-{
-    util::ByteReader reader(data);
-    if (reader.u32() != kJournalMagic)
-        return std::nullopt;
-    if (reader.u32() != kJournalVersion)
-        return std::nullopt;
-    StagingJournal journal;
-    const uint32_t nslots = reader.u32();
-    if (!reader.ok() || nslots != journal.slots_.size())
-        return std::nullopt;
-    for (SlotRecord &rec : journal.slots_) {
-        rec.valid = reader.u32() != 0;
-        rec.digest = reader.array<32>();
-        rec.total_bytes = reader.u64();
-        rec.chunk_bytes = reader.u32();
-        rec.bitmap = reader.blob();
-        if (!reader.ok())
-            return std::nullopt;
-        if (!rec.valid) {
-            rec = SlotRecord{};
-            continue;
-        }
-        // A journal from untrusted NVRAM must parse defensively:
-        // reject geometry that doesn't agree with itself.
+    return std::all_of(slots_.begin(), slots_.end(),
+                       [](const SlotRecord &rec) {
+        if (!rec.valid)
+            return rec == SlotRecord{};
         if (rec.chunk_bytes == 0)
-            return std::nullopt;
+            return false;
         const uint64_t chunks =
-            (rec.total_bytes + rec.chunk_bytes - 1) / rec.chunk_bytes;
-        const uint64_t bitmap_bytes = (chunks + 7) / 8;
-        if (bitmap_bytes > kMaxBitmapBytes ||
-            rec.bitmap.size() != bitmap_bytes)
-            return std::nullopt;
-    }
-    if (!reader.atEnd())
-        return std::nullopt;
-    return journal;
+            util::divCeil(rec.total_bytes, rec.chunk_bytes);
+        const unsigned tail = chunks % 8;
+        return rec.bitmap.size() == util::divCeil(chunks, 8) &&
+               (tail == 0 || rec.bitmap.back() >> tail == 0);
+    });
 }
 
 } // namespace secproc::update

@@ -19,9 +19,8 @@
  * a journal that lies about completed chunks (bit rot, torn journal
  * write) produces a bundle that fails re-verification exactly like
  * any other corrupt slot. Persisted across simulated reboots like
- * the RollbackStore (serialize/deserialize), though unlike the
- * counter bank it can live in untrusted NVRAM for exactly the
- * reason above.
+ * the RollbackStore, though unlike the counter bank it can live in
+ * untrusted NVRAM for exactly the reason above.
  */
 
 #ifndef SECPROC_UPDATE_STAGING_JOURNAL_HH
@@ -30,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "update/manifest.hh"
@@ -74,12 +74,18 @@ class StagingJournal
     bool active(uint32_t slot) const;
 
     /** Persistence across simulated reboots. @{ */
-    std::vector<uint8_t> serialize() const;
+    std::vector<uint8_t> serialize() const { return util::encode(*this); }
+
     static std::optional<StagingJournal>
-    deserialize(const std::vector<uint8_t> &data);
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<StagingJournal>(data);
+    }
     /** @} */
 
   private:
+    friend struct util::WireAccess;
+
     struct SlotRecord
     {
         bool valid = false;
@@ -88,7 +94,33 @@ class StagingJournal
         uint32_t chunk_bytes = 0;
         /** One bit per chunk, LSB-first within each byte. */
         std::vector<uint8_t> bitmap;
+
+        bool operator==(const SlotRecord &) const = default;
     };
+
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &journal)
+    {
+        w.tag(0x53504A4C) // "SPJL"
+            .tag(1)       // format version
+            .tag(static_cast<uint32_t>(journal.slots_.size()));
+        for (auto &rec : journal.slots_) {
+            w.flag(rec.valid)
+                .bytes(rec.digest)
+                .u64(rec.total_bytes)
+                .u32(rec.chunk_bytes)
+                .blob(rec.bitmap);
+        }
+    }
+
+    /**
+     * The journal's own geometry, checked on every parse (it lives
+     * in untrusted NVRAM): an inactive record is blank, and an
+     * active one has a bitmap of exactly its chunks, no bit set past
+     * the last.
+     */
+    bool validate() const;
 
     const SlotRecord *record(uint32_t slot) const;
     SlotRecord *record(uint32_t slot);

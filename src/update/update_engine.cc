@@ -6,7 +6,6 @@
 #include "update/update_engine.hh"
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 #include "util/strutil.hh"
 
 namespace secproc::update
@@ -19,6 +18,19 @@ namespace
  *  (header size is update_engine.hh's kSlotHeaderBytes). */
 constexpr uint32_t kSlotMagic = 0x53505354; // "SPST"
 
+template <class Bundle>
+struct SlotFrame
+{
+    const Bundle &bundle;
+
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &frame)
+    {
+        w.tag(kSlotMagic).nested64(frame.bundle);
+    }
+};
+
 /**
  * The one slot-header decoder: the bundle length @p header announces,
  * or std::nullopt unless the magic matches and the length lies in
@@ -27,39 +39,25 @@ constexpr uint32_t kSlotMagic = 0x53505354; // "SPST"
 std::optional<uint64_t>
 slotBundleLength(std::span<const uint8_t> header, uint64_t capacity)
 {
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 || len > capacity)
+    util::WireReader reader(header);
+    uint64_t len = 0;
+    reader.tag(kSlotMagic).u64(len);
+    if (!reader.ok() || len == 0 || len > capacity)
         return std::nullopt;
     return len;
 }
 
 } // namespace
 
+template <class Bundle>
 std::vector<uint8_t>
-frameBundleBytes(const std::vector<uint8_t> &bundle_bytes)
+frameBundle(const Bundle &bundle)
 {
-    std::vector<uint8_t> out;
-    out.reserve(kSlotHeaderBytes + bundle_bytes.size());
-    util::putU32(out, kSlotMagic);
-    util::putU64(out, bundle_bytes.size());
-    out.insert(out.end(), bundle_bytes.begin(), bundle_bytes.end());
-    return out;
+    return util::encode(SlotFrame<Bundle>{bundle});
 }
 
-std::vector<uint8_t>
-frameBundle(const UpdateBundle &bundle)
-{
-    const uint64_t bundle_size = bundle.serializedSize();
-    std::vector<uint8_t> out;
-    out.reserve(kSlotHeaderBytes + bundle_size);
-    util::putU32(out, kSlotMagic);
-    util::putU64(out, bundle_size);
-    util::VectorSink sink(out);
-    bundle.serializeTo(sink);
-    return out;
-}
+template std::vector<uint8_t> frameBundle(const UpdateBundle &);
+template std::vector<uint8_t> frameBundle(const DeltaBundle &);
 
 std::optional<std::span<const uint8_t>>
 unframeBundleView(std::span<const uint8_t> framed)
@@ -228,11 +226,11 @@ UpdateEngine::verify(const UpdateBundle &bundle) const
     }
 
     // Finally, the bundle must fit the staging slot, or it can never
-    // be installed on this device. Derived from the serializer itself
-    // (CountingSink behind serializedSize) — a hand-mirrored layout
-    // here silently broke the gate every time the format revved.
+    // be installed on this device. Derived from the encoder itself
+    // (util::encodedSize) — a hand-mirrored layout here silently
+    // broke the gate every time the format revved.
     const uint64_t framed_size =
-        kSlotHeaderBytes + bundle.serializedSize();
+        kSlotHeaderBytes + util::encodedSize(bundle);
     if (framed_size > staging_.slot_size) {
         return {UpdateStatus::TooLarge,
                 "bundle does not fit the " +

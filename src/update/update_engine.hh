@@ -108,21 +108,15 @@ struct InstallResult
 inline constexpr uint64_t kSlotHeaderBytes = 12;
 
 /**
- * Frame serialized bundle bytes the way a staging slot stores them
- * (and the OTA downlink streams them): magic | u64 length | bytes.
+ * Frame an UpdateBundle or DeltaBundle the way a staging slot stores
+ * it (and the OTA downlink streams it): magic | u64 length | the
+ * encoded bundle, in one exact-sized allocation.
  */
-std::vector<uint8_t>
-frameBundleBytes(const std::vector<uint8_t> &bundle_bytes);
+template <class Bundle>
+std::vector<uint8_t> frameBundle(const Bundle &bundle);
 
 /**
- * Frame @p bundle directly — identical bytes to
- * frameBundleBytes(bundle.serialize()) with one exact-sized
- * allocation instead of serializing the multi-megabyte bundle twice.
- */
-std::vector<uint8_t> frameBundle(const UpdateBundle &bundle);
-
-/**
- * Undo frameBundleBytes on bytes read back from untrusted memory.
+ * Undo frameBundle on bytes read back from untrusted memory.
  * No copy: the result borrows @p framed. @return the bundle bytes,
  * or std::nullopt when the framing is damaged (torn write,
  * corruption).

@@ -51,6 +51,13 @@ alignUp(uint64_t v, uint64_t align)
     return (v + align - 1) & ~(align - 1);
 }
 
+/** ceil(@p v / @p d) for d > 0, without the wrap of (v + d - 1) / d. */
+constexpr uint64_t
+divCeil(uint64_t v, uint64_t d)
+{
+    return v / d + (v % d != 0);
+}
+
 /** Extract bits [lo, lo+width) of @p v. */
 constexpr uint64_t
 bits(uint64_t v, unsigned lo, unsigned width)

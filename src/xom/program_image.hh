@@ -15,11 +15,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "secure/key_table.hh"
-#include "util/serialize.hh"
+#include "util/wire.hh"
 
 namespace secproc::xom
 {
@@ -47,6 +48,8 @@ struct Section
 /** The shippable program. */
 struct ProgramImage
 {
+    static constexpr uint32_t kMaxSections = 1024;
+
     std::string title;
     secure::CipherKind cipher = secure::CipherKind::Des;
     uint64_t entry_point = 0;
@@ -56,36 +59,47 @@ struct ProgramImage
     std::vector<uint8_t> key_capsule;
 
     /** Total stored bytes across sections. */
-    uint64_t totalBytes() const;
+    uint64_t
+    totalBytes() const
+    {
+        uint64_t total = 0;
+        for (const Section &section : sections)
+            total += section.bytes.size();
+        return total;
+    }
 
-    /** Serialize to a flat byte vector (checked round trip). */
-    std::vector<uint8_t> serialize() const;
+    /** The wire layout (cipher, entry, line, then title: not the
+     *  declaration order). */
+    template <class W, class Self>
+    static void
+    wire(W &w, Self &image)
+    {
+        const auto section = [](auto &sw, auto &s) {
+            sw.str(s.name)
+                .u64(s.vaddr)
+                .enumeration(s.encryption, SectionEncryption::Plaintext)
+                .blob(s.bytes);
+        };
+        w.tag(0x5350494D) // "SPIM"
+            .tag(1)       // format version
+            .enumeration(image.cipher, secure::kLastCipherKind)
+            .u64(image.entry_point)
+            .u32(image.line_size)
+            .str(image.title)
+            .blob(image.key_capsule)
+            .list(image.sections, kMaxSections, section);
+    }
 
     /**
-     * Stream the exact serialize() byte sequence into @p sink —
-     * digesting or sizing a multi-megabyte image without
-     * materializing it.
-     */
-    void serializeTo(util::ByteSink &sink) const;
-
-    /** Bytes serialize() would produce. */
-    uint64_t serializedSize() const;
-
-    /** Parse a serialized image; fatal on malformed input. */
-    static ProgramImage deserialize(const std::vector<uint8_t> &data);
-
-    /**
-     * Parse bytes that crossed a trust boundary (an update bundle,
-     * a staged slot): std::nullopt on malformed input, never fatal.
-     * The span form parses in place (e.g. a blob view into a larger
-     * framed buffer); section bytes are still copied out, since the
-     * parsed image owns its contents. @{
+     * Parse bytes that crossed a trust boundary (an update bundle, a
+     * staged slot): std::nullopt on malformed input, never fatal.
+     * Section bytes are copied out, since the image owns them.
      */
     static std::optional<ProgramImage>
-    tryDeserialize(const std::vector<uint8_t> &data);
-    static std::optional<ProgramImage>
-    tryDeserialize(std::span<const uint8_t> data);
-    /** @} */
+    deserialize(std::span<const uint8_t> data)
+    {
+        return util::decode<ProgramImage>(data);
+    }
 };
 
 } // namespace secproc::xom

@@ -6,11 +6,12 @@
  * install must leave the device byte-identical to a full-bundle
  * install of the same release — slot bytes, active manifest and
  * rollback counter — on both the pure functional engine and the
- * unified cycle plane. Around it: wire-format round trips, the
- * shipping-size win deltas exist for, BaseMismatch as a clean
- * fall-back-to-full signal (never a crash), tampered patch ops dying
- * at the signed-manifest checks, the serializer-derived framed-size
- * gate, and the staging journal's resume semantics.
+ * unified cycle plane. Around it: the shipping-size win deltas
+ * exist for, BaseMismatch as a clean fall-back-to-full signal (never
+ * a crash), tampered patch ops dying at the signed-manifest checks,
+ * the encoder-derived framed-size gate, and the staging journal's
+ * resume semantics and canonical parse. Wire round trips of every
+ * format live in wire_test.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,7 @@
 #include "sim/profiles.hh"
 #include "sim/system.hh"
 #include "update/device_rig.hh"
-#include "util/serialize.hh"
+#include "util/wire.hh"
 
 namespace
 {
@@ -31,56 +32,6 @@ using namespace secproc::update;
 constexpr uint32_t kLine = 128;
 constexpr StagingConfig kStaging{0x4000'0000, 2ull << 20};
 
-/** Payload generation @p generation of the image keyed by @p seed. */
-std::vector<uint8_t>
-payload(uint64_t seed, uint64_t image_bytes, uint32_t generation,
-        double change_fraction)
-{
-    return payloadGeneration(
-        image_bytes, generation, change_fraction, seed ^ 0xF111,
-        [seed](uint32_t gen) { return seed ^ (0xD1FFull + gen); });
-}
-
-/** A base release, its successor, and the delta between them. */
-struct ReleasePair
-{
-    UpdateBundle base;
-    UpdateBundle next;
-    DeltaBundle delta;
-};
-
-/**
- * Build a delta-friendly release pair: the successor reuses the
- * base's RNG stream (same symmetric key, so unchanged plaintext
- * lines keep their ciphertext) and signs the base image's digest
- * into its manifest.
- */
-ReleasePair
-makePair(const FirmwareVendor &vendor, uint64_t image_bytes,
-         double change_fraction, uint64_t key_seed)
-{
-    UpdateSpec spec;
-    spec.image_version = 1;
-    spec.rollback_counter = 1;
-
-    ReleasePair pair;
-    util::Rng rng_base(key_seed);
-    pair.base = firmwareBundle(
-        vendor.builder, vendor.processor.pub, spec,
-        payload(key_seed, image_bytes, 1, change_fraction), rng_base);
-
-    spec.image_version = 2;
-    spec.rollback_counter = 2;
-    spec.base_digest = sha256DigestOfImage(pair.base.image);
-    util::Rng rng_next(key_seed);
-    pair.next = firmwareBundle(
-        vendor.builder, vendor.processor.pub, spec,
-        payload(key_seed, image_bytes, 2, change_fraction), rng_next);
-
-    pair.delta = vendor.builder.buildDelta(pair.base, pair.next);
-    return pair;
-}
-
 /** The pure-functional device (zero simulated cycles). */
 DeviceRig
 functionalDevice(const FirmwareVendor &vendor)
@@ -89,54 +40,20 @@ functionalDevice(const FirmwareVendor &vendor)
                      kStaging);
 }
 
-// ------------------------------------------------------- wire format
-
-TEST(DeltaBundle, SerializeRoundTrips)
-{
-    FirmwareVendor vendor(0xDE17A);
-    const ReleasePair pair = makePair(vendor, 32ull << 10, 0.10, 0xAB);
-
-    const std::vector<uint8_t> bytes = pair.delta.serialize();
-    EXPECT_EQ(bytes.size(), pair.delta.serializedSize());
-
-    const auto parsed = DeltaBundle::deserialize(bytes);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->serialize(), bytes);
-    EXPECT_EQ(parsed->manifest.serialize(),
-              pair.delta.manifest.serialize());
-    EXPECT_EQ(parsed->signature, pair.delta.signature);
-}
-
-TEST(DeltaBundle, TruncationIsRejectedNotFatal)
-{
-    FirmwareVendor vendor(0xDE17B);
-    const ReleasePair pair = makePair(vendor, 8ull << 10, 0.10, 0xAC);
-    const std::vector<uint8_t> bytes = pair.delta.serialize();
-
-    // Every prefix must parse to nullopt or to a structurally valid
-    // bundle — never crash. Stride keeps the loop fast; the first and
-    // last few bytes are the interesting edges, so cover them exactly.
-    for (size_t cut = 0; cut < bytes.size();
-         cut += (cut < 64 || cut + 64 > bytes.size()) ? 1 : 997) {
-        const std::vector<uint8_t> prefix(bytes.begin(),
-                                          bytes.begin() + cut);
-        EXPECT_FALSE(DeltaBundle::deserialize(prefix).has_value())
-            << "truncated delta at " << cut << " bytes parsed";
-    }
-}
+// ---------------------------------------------------- shipping size
 
 TEST(DeltaBundle, ShipsFarFewerBytesForSmallChanges)
 {
     FirmwareVendor vendor(0xDE17C);
-    const ReleasePair pair = makePair(vendor, 256ull << 10, 0.10, 0xAD);
+    const ReleasePair pair = vendor.releasePair(256ull << 10, 0.10, 0xAD);
 
     // A 10%-changed release must ship well under half the full
     // bundle (in practice ~15%: literals + manifest + capsule + op
     // framing).
-    EXPECT_LT(pair.delta.serializedSize(),
-              pair.next.serializedSize() / 2)
-        << "delta=" << pair.delta.serializedSize()
-        << " full=" << pair.next.serializedSize();
+    EXPECT_LT(util::encodedSize(pair.delta),
+              util::encodedSize(pair.next) / 2)
+        << "delta=" << util::encodedSize(pair.delta)
+        << " full=" << util::encodedSize(pair.next);
     EXPECT_GT(pair.delta.literalBytes(), 0u);
 }
 
@@ -145,27 +62,33 @@ TEST(DeltaBundle, ShipsFarFewerBytesForSmallChanges)
 TEST(UpdateEngine, FramedSizeDerivesFromTheSerializer)
 {
     FirmwareVendor vendor(0xDE17D);
-    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xAE);
+    const ReleasePair pair = vendor.releasePair(16ull << 10, 0.10, 0xAE);
 
     // The slot-fit gate in verify() must cost exactly what the
-    // serializer produces — for full bundles and for a
-    // delta-reconstructed bundle alike.
-    EXPECT_EQ(pair.next.serializedSize(),
-              pair.next.serialize().size());
-    EXPECT_EQ(frameBundle(pair.next).size(),
-              kSlotHeaderBytes + pair.next.serializedSize());
-    EXPECT_EQ(frameBundle(pair.next),
-              frameBundleBytes(pair.next.serialize()));
+    // encoder produces — for full bundles and for a
+    // delta-reconstructed bundle alike — and one framing serves
+    // both bundle kinds.
+    EXPECT_EQ(util::encodedSize(pair.next), util::encode(pair.next).size());
+    const std::vector<uint8_t> framed = frameBundle(pair.next);
+    EXPECT_EQ(framed.size(), kSlotHeaderBytes + util::encodedSize(pair.next));
+    EXPECT_EQ(std::vector<uint8_t>(framed.begin() + kSlotHeaderBytes,
+                                   framed.end()),
+              util::encode(pair.next));
+    const std::vector<uint8_t> framed_delta = frameBundle(pair.delta);
+    const auto delta_view = unframeBundleView(framed_delta);
+    ASSERT_TRUE(delta_view.has_value());
+    EXPECT_EQ(std::vector<uint8_t>(delta_view->begin(), delta_view->end()),
+              util::encode(pair.delta));
 
     DeviceRig rig = functionalDevice(vendor);
     ASSERT_TRUE(rig.install(pair.base).ok());
     const auto rec =
         rig.updater().reconstructDelta(pair.delta, rig.memory());
     ASSERT_TRUE(rec.result.ok()) << rec.result.detail;
-    EXPECT_EQ(rec.bundle->serializedSize(),
-              rec.bundle->serialize().size());
+    EXPECT_EQ(util::encodedSize(*rec.bundle),
+              util::encode(*rec.bundle).size());
     EXPECT_EQ(frameBundle(*rec.bundle).size(),
-              kSlotHeaderBytes + rec.bundle->serializedSize());
+              kSlotHeaderBytes + util::encodedSize(*rec.bundle));
 }
 
 // ------------------------------------------------------ differential
@@ -173,7 +96,7 @@ TEST(UpdateEngine, FramedSizeDerivesFromTheSerializer)
 TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
 {
     FirmwareVendor vendor(0xDE17E);
-    const ReleasePair pair = makePair(vendor, 64ull << 10, 0.10, 0xAF);
+    const ReleasePair pair = vendor.releasePair(64ull << 10, 0.10, 0xAF);
 
     DeviceRig full = functionalDevice(vendor);
     ASSERT_TRUE(full.install(pair.base).ok());
@@ -189,7 +112,7 @@ TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
     // manifest, same counter.
     EXPECT_EQ(delta.updater().activeSlot(), full.updater().activeSlot());
     EXPECT_EQ(delta.activeSlotBytes().size(),
-              kSlotHeaderBytes + pair.next.serializedSize());
+              kSlotHeaderBytes + util::encodedSize(pair.next));
     EXPECT_EQ(delta.activeSlotBytes(), full.activeSlotBytes());
     EXPECT_EQ(delta.updater().activeManifest()->serialize(),
               full.updater().activeManifest()->serialize());
@@ -202,7 +125,7 @@ TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
 TEST(Delta, BaseMismatchIsACleanFallbackSignal)
 {
     FirmwareVendor vendor(0xDE17F);
-    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB0);
+    const ReleasePair pair = vendor.releasePair(16ull << 10, 0.10, 0xB0);
 
     // No active image at all: the device needs the full bundle.
     DeviceRig fresh = functionalDevice(vendor);
@@ -212,13 +135,8 @@ TEST(Delta, BaseMismatchIsACleanFallbackSignal)
 
     // Wrong base installed (a different generation's bytes).
     DeviceRig wrong = functionalDevice(vendor);
-    UpdateSpec spec;
-    spec.image_version = 1;
-    spec.rollback_counter = 1;
-    util::Rng other_rng(0xCAFE);
-    const UpdateBundle other = firmwareBundle(
-        vendor.builder, vendor.processor.pub, spec,
-        payload(0xCAFE, 16ull << 10, 1, 0.10), other_rng);
+    const UpdateBundle other =
+        vendor.releasePair(16ull << 10, 0.10, 0xCAFE).base;
     ASSERT_TRUE(wrong.install(other).ok());
     EXPECT_EQ(wrong.updater().stageDelta(pair.delta, wrong.memory())
                   .status,
@@ -232,14 +150,14 @@ TEST(Delta, BaseMismatchIsACleanFallbackSignal)
 TEST(Delta, DamagedBaseSlotHeaderIsBaseMismatch)
 {
     FirmwareVendor vendor(0xDE180);
-    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB1);
+    const ReleasePair pair = vendor.releasePair(16ull << 10, 0.10, 0xB1);
 
     // Damage the active slot's header two ways: a wrong magic, and a
     // length past the slot's capacity (magic intact).
-    std::vector<uint8_t> bad_magic;
-    util::putU32(bad_magic, 0xDEADBEEF);
-    std::vector<uint8_t> oversize;
-    util::putU64(oversize, kStaging.slot_size);
+    std::vector<uint8_t> bad_magic, oversize;
+    util::VectorSink magic_sink(bad_magic), size_sink(oversize);
+    util::WireWriter(magic_sink).u32(0xDEADBEEF);
+    util::WireWriter(size_sink).u64(kStaging.slot_size);
     const struct
     {
         const char *what;
@@ -270,7 +188,7 @@ TEST(Delta, DamagedBaseSlotHeaderIsBaseMismatch)
 TEST(Delta, TamperedPatchInputIsRejectedNotTrusted)
 {
     FirmwareVendor vendor(0xDE180);
-    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB1);
+    const ReleasePair pair = vendor.releasePair(16ull << 10, 0.10, 0xB1);
 
     DeviceRig rig = functionalDevice(vendor);
     ASSERT_TRUE(rig.install(pair.base).ok());
@@ -387,6 +305,42 @@ TEST(StagingJournal, ResumeKeepsOnlyMatchingRecords)
     EXPECT_TRUE(journal.active(0));
 }
 
+TEST(StagingJournal, ParseRejectsNonCanonicalRecords)
+{
+    // Slot 0's record starts at byte 12: valid u32 | digest[32] |
+    // total_bytes u64 @48 | chunk_bytes u32 @56 | bitmap len u32 @60
+    // | bitmap @64. No journal method can write any patch below.
+    Digest digest{};
+    digest[0] = 0xAA;
+    StagingJournal empty;
+    empty.begin(0, digest, 0, 4096);
+    ASSERT_TRUE(StagingJournal::deserialize(empty.serialize()));
+
+    // total_bytes = 2^64 - 1 at 4 KiB chunks: total + chunk - 1
+    // wrapped to an active record of 0 chunks and an empty bitmap.
+    auto wrapped = empty.serialize();
+    std::fill_n(wrapped.begin() + 48, 8, 0xFF);
+    EXPECT_FALSE(StagingJournal::deserialize(wrapped));
+
+    auto valid2 = empty.serialize(); // valid is a 0/1 flag
+    valid2[12] = 2;
+    EXPECT_FALSE(StagingJournal::deserialize(valid2));
+
+    auto junk = StagingJournal().serialize(); // inactive means blank
+    junk[16] = 0x01;
+    EXPECT_FALSE(StagingJournal::deserialize(junk));
+
+    // 10 chunks own bits 0..9 of a 2-byte bitmap: bit 15 is past the
+    // last chunk, bit 9 is the tail chunk.
+    StagingJournal ten;
+    ten.begin(0, digest, 10'000, 1024);
+    auto past = ten.serialize();
+    past[65] = 0x80;
+    EXPECT_FALSE(StagingJournal::deserialize(past));
+    past[65] = 0x02;
+    EXPECT_TRUE(StagingJournal::deserialize(past));
+}
+
 // ------------------------------------------------------ cycle plane
 
 /** A full machine with a journaled LiveInstall agent attached. */
@@ -422,7 +376,7 @@ struct LiveRig
 TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
 {
     FirmwareVendor vendor(0xDE181);
-    const ReleasePair pair = makePair(vendor, 64ull << 10, 0.10, 0xB2);
+    const ReleasePair pair = vendor.releasePair(64ull << 10, 0.10, 0xB2);
 
     // Functional full-bundle reference.
     DeviceRig reference = functionalDevice(vendor);
@@ -444,9 +398,9 @@ TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
     // The delta stream on the wire is the small thing; the staged
     // slot holds the full reconstructed bundle.
     const uint64_t framed_full =
-        kSlotHeaderBytes + pair.next.serializedSize();
+        kSlotHeaderBytes + util::encodedSize(pair.next);
     const uint64_t framed_delta =
-        kSlotHeaderBytes + pair.delta.serializedSize();
+        kSlotHeaderBytes + util::encodedSize(pair.delta);
     EXPECT_LT(framed_delta, framed_full / 2);
     EXPECT_EQ(live.stagedBytesWritten(), framed_full);
 
@@ -465,7 +419,7 @@ TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
 TEST(Delta, LiveBaseMismatchFailsSoCallerCanFallBack)
 {
     FirmwareVendor vendor(0xDE182);
-    const ReleasePair pair = makePair(vendor, 16ull << 10, 0.10, 0xB3);
+    const ReleasePair pair = vendor.releasePair(16ull << 10, 0.10, 0xB3);
 
     // Nothing installed: the delta admission must render
     // BaseMismatch and fail the install without touching state.

@@ -47,7 +47,7 @@ TEST(InstallPlan, FromBundleMatchesSerializedSize)
     const InstallPlan plan = InstallPlan::fromBundle(
         frameBundle(bundle).size(), bundle.image.totalBytes(), kLine);
     const uint64_t bundle_lines =
-        (bundle.serialize().size() + kSlotHeaderBytes + kLine - 1) /
+        (util::encodedSize(bundle) + kSlotHeaderBytes + kLine - 1) /
         kLine;
     EXPECT_EQ(plan.stage_lines, bundle_lines);
     EXPECT_EQ(plan.verify_lines, bundle_lines);

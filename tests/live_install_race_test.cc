@@ -368,10 +368,8 @@ raceCell(const Pattern &pattern, const std::string &bench,
     const secure::CipherKind cipher = cipherFor(bench);
     const UpdateBundle v1 = vendor.release(1, kImageBytes, cipher);
     const UpdateBundle v2 = vendor.release(2, kImageBytes, cipher);
-    const std::vector<uint8_t> framed_v1 =
-        frameBundleBytes(v1.serialize());
-    const std::vector<uint8_t> framed_v2 =
-        frameBundleBytes(v2.serialize());
+    const std::vector<uint8_t> framed_v1 = frameBundle(v1);
+    const std::vector<uint8_t> framed_v2 = frameBundle(v2);
 
     exp::CellOutput cell;
     const uint64_t install_cycles =

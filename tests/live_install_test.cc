@@ -242,7 +242,7 @@ TEST(LiveInstall, OneRunRendersBothVerdicts)
     EXPECT_EQ(rig.device.rollback().current("fw"), 1u);
     EXPECT_GT(live.activatedAt(), 0u);
     EXPECT_EQ(live.stagedBytesWritten(),
-              kSlotHeaderBytes + bundle.serialize().size());
+              kSlotHeaderBytes + util::encodedSize(bundle));
 
     // ...and the cycle verdict: the install cost the foreground
     // cycles, attributed to the installer's channel agents.
@@ -354,7 +354,7 @@ TEST(LiveInstall, SystemResetDropsInFlightWork)
     ASSERT_FALSE(live.done());
     ASSERT_EQ(live.phase(), LiveInstallPhase::Stage);
     ASSERT_LT(live.stagedBytesWritten(),
-              kSlotHeaderBytes + bundle.serialize().size())
+              kSlotHeaderBytes + util::encodedSize(bundle))
         << "the cut must leave a torn slot";
 
     rig.system.reset();

@@ -166,7 +166,7 @@ stagedBytesCell(const std::string &bench, bool truncate)
     bool setup_ok = device.install(rig.bundle(1, cipher)).ok();
     const UpdateBundle good = rig.bundle(2, cipher);
     const uint64_t framed_size =
-        kSlotHeaderBytes + good.serialize().size();
+        kSlotHeaderBytes + util::encodedSize(good);
     const uint64_t slot_base =
         kStagingBase + device.updater().stagingSlot() * kSlotSize;
 

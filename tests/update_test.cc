@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the secure software-update and attestation subsystem:
- * manifest/bundle serialization, the vendor build -> processor
+ * manifest/bundle parse regressions, the vendor build -> processor
  * verify/install round trip, the rejection family (tampered image,
  * downgrade, wrong processor, bad signature, interrupted staging),
  * rollback counter monotonicity and attestation quotes.
@@ -13,7 +13,7 @@
 #include "update/attestation.hh"
 #include "update/device_rig.hh"
 #include "update/manifest.hh"
-#include "util/serialize.hh"
+#include "util/wire.hh"
 #include "xom/secure_loader.hh"
 #include "xom/vendor_tool.hh"
 
@@ -136,22 +136,6 @@ TEST(UpdateRoundTrip, SequentialUpdatesAlternateSlots)
     EXPECT_EQ(line, std::vector<uint8_t>(kLine, 0xC0 + 2));
 }
 
-TEST(UpdateRoundTrip, BundleSerializationRoundTrips)
-{
-    Vendor vendor(5);
-    util::Rng rng(6);
-    const auto processor = crypto::rsaGenerate(512, rng);
-    const UpdateBundle bundle = vendor.release(processor.pub, 7, 9);
-
-    const auto back = UpdateBundle::deserialize(bundle.serialize());
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->manifest.serialize(), bundle.manifest.serialize());
-    EXPECT_EQ(back->signature, bundle.signature);
-    EXPECT_EQ(back->image.serialize(), bundle.image.serialize());
-    EXPECT_EQ(back->manifest.image_version, 7u);
-    EXPECT_EQ(back->manifest.rollback_counter, 9u);
-}
-
 TEST(UpdateRoundTrip, ManifestDescribesImage)
 {
     Vendor vendor(7);
@@ -166,7 +150,7 @@ TEST(UpdateRoundTrip, ManifestDescribesImage)
         EXPECT_EQ(m.sections[i].digest,
                   sha256Digest(bundle.image.sections[i].bytes));
     }
-    EXPECT_EQ(m.image_digest, sha256Digest(bundle.image.serialize()));
+    EXPECT_EQ(m.image_digest, sha256Digest(util::encode(bundle.image)));
 }
 
 // ------------------------------------------------------ rejection family
@@ -263,16 +247,6 @@ TEST(UpdateRejection, ForgedSignatureIsBadSignature)
               UpdateStatus::BadSignature);
 }
 
-TEST(UpdateRejection, TruncatedBundleIsMalformed)
-{
-    Vendor vendor(22);
-    util::Rng rng(23);
-    const auto processor = crypto::rsaGenerate(512, rng);
-    auto bytes = vendor.release(processor.pub, 1, 1).serialize();
-    bytes.resize(bytes.size() / 2);
-    EXPECT_FALSE(UpdateBundle::deserialize(bytes).has_value());
-}
-
 TEST(UpdateRejection, SelfConsistentGarbageImageIsMalformedNotFatal)
 {
     // An attacker who controls the whole bundle can make the
@@ -287,22 +261,15 @@ TEST(UpdateRejection, SelfConsistentGarbageImageIsMalformedNotFatal)
     manifest.title = "evil";
     manifest.image_digest = sha256Digest(garbage);
 
-    // Hand-frame the bundle exactly as serialize() would, but with
+    // Hand-frame the bundle exactly as util::encode would, but with
     // the garbage bytes where the image blob belongs.
     std::vector<uint8_t> crafted;
-    const auto manifest_bytes = manifest.serialize();
-    auto put_u32 = [&crafted](uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            crafted.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    };
-    put_u32(0x53505542); // "SPUB"
-    put_u32(static_cast<uint32_t>(manifest_bytes.size()));
-    crafted.insert(crafted.end(), manifest_bytes.begin(),
-                   manifest_bytes.end());
-    put_u32(2);
-    crafted.push_back(0xAA);
-    crafted.push_back(0xBB);
-    put_u32(static_cast<uint32_t>(garbage.size()));
+    util::VectorSink sink(crafted);
+    util::WireWriter(sink)
+        .tag(0x53505542) // "SPUB"
+        .nested32(manifest)
+        .blob(std::vector<uint8_t>{0xAA, 0xBB})
+        .u64(garbage.size());
     crafted.insert(crafted.end(), garbage.begin(), garbage.end());
 
     EXPECT_FALSE(UpdateBundle::deserialize(crafted).has_value());
@@ -390,10 +357,12 @@ TEST(UpdateRejection, ImageLengthPastU32IsNotTruncated)
 
     auto craft = [&](uint64_t claimed_image_len) {
         std::vector<uint8_t> out;
-        util::putU32(out, 0x53505542); // "SPUB"
-        util::putBlob(out, manifest_bytes);
-        util::putBlob(out, bundle.signature);
-        util::putU64(out, claimed_image_len);
+        util::VectorSink sink(out);
+        util::WireWriter(sink)
+            .tag(0x53505542) // "SPUB"
+            .blob(manifest_bytes)
+            .blob(bundle.signature)
+            .u64(claimed_image_len);
         out.insert(out.end(), tail.begin(), tail.end());
         return out;
     };
@@ -410,10 +379,10 @@ TEST(UpdateRejection, ImageLengthPastU32IsNotTruncated)
                      .has_value());
 
     // Control: a genuine bundle still frames and parses, and its
-    // size query matches the serializer exactly.
-    EXPECT_EQ(bundle.serializedSize(), bundle.serialize().size());
+    // size query matches the encoder exactly.
+    EXPECT_EQ(util::encodedSize(bundle), util::encode(bundle).size());
     EXPECT_TRUE(
-        UpdateBundle::deserialize(bundle.serialize()).has_value());
+        UpdateBundle::deserialize(util::encode(bundle)).has_value());
 }
 
 // ------------------------------------------------- interrupted install
@@ -594,16 +563,36 @@ TEST(RollbackStoreTest, SerializationSurvivesReboot)
     store.commit("boot", 3);
     store.commit("app", 41);
 
-    const auto rebooted = RollbackStore::deserialize(store.serialize());
+    const auto rebooted = RollbackStore::deserialize(util::encode(store));
     ASSERT_TRUE(rebooted.has_value());
     EXPECT_EQ(rebooted->current("boot"), 3u);
     EXPECT_EQ(rebooted->current("app"), 41u);
     EXPECT_EQ(rebooted->capacity(), 16u);
 
     // Corrupt persistence is refused, not trusted.
-    auto bytes = store.serialize();
+    auto bytes = util::encode(store);
     bytes.resize(bytes.size() - 3);
     EXPECT_FALSE(RollbackStore::deserialize(bytes).has_value());
+
+    // Titles are stored strictly ascending, so a duplicate title or
+    // titles out of order are refused, not merged or re-sorted: the
+    // parse accepts only what util::encode produces. Layout: magic
+    // u32 | capacity u64 | count u32 | { title (u32 len + bytes) |
+    // counter u64 }...
+    RollbackStore pair(16);
+    pair.commit("a", 1);
+    pair.commit("b", 2);
+    const size_t first = 4 + 8 + 4 + 4;
+    const size_t second = first + 1 + 8 + 4;
+    auto duplicate = util::encode(pair);
+    ASSERT_EQ(duplicate[first], 'a');
+    ASSERT_EQ(duplicate[second], 'b');
+    duplicate[second] = 'a';
+    EXPECT_FALSE(RollbackStore::deserialize(duplicate).has_value());
+    auto unsorted = util::encode(pair);
+    unsorted[first] = 'b';
+    unsorted[second] = 'a';
+    EXPECT_FALSE(RollbackStore::deserialize(unsorted).has_value());
 }
 
 // --------------------------------------------------------- attestation

@@ -296,17 +296,17 @@ cmdBuild(const Options &options)
         std::move(text), rng, options.title, 0x400000);
     if (base.has_value()) {
         const DeltaBundle delta = builder.buildDelta(*base, bundle);
-        const std::vector<uint8_t> delta_bytes = delta.serialize();
+        const std::vector<uint8_t> delta_bytes = util::encode(delta);
         writeFile(options.out, delta_bytes);
         std::cout << "wrote '" << options.out << "': delta "
                   << options.title << " v"
                   << base->manifest.image_version << " -> v"
                   << options.version << ", " << delta_bytes.size()
                   << " delta bytes vs "
-                  << bundle.serialize().size() << " full\n";
+                  << util::encodedSize(bundle) << " full\n";
         return 0;
     }
-    writeFile(options.out, bundle.serialize());
+    writeFile(options.out, util::encode(bundle));
     std::cout << "wrote '" << options.out << "': " << options.title
               << " v" << options.version << ", rollback counter "
               << options.counter << ", "
@@ -426,7 +426,7 @@ cmdDeltaVerifyOrInstall(const Options &options, bool install)
               << readFile(options.bundle).size()
               << " delta bytes)\n";
     if (!options.state.empty()) {
-        writeFile(options.state, rollback.serialize());
+        writeFile(options.state, util::encode(rollback));
         std::cout << "rollback state saved to '" << options.state
                   << "'\n";
     }
@@ -486,7 +486,7 @@ cmdVerifyOrInstall(const Options &options, bool install)
               << (result.slot == 0 ? "A" : "B") << ", entry "
               << util::formatHex(result.entry_point) << "\n";
     if (!options.state.empty()) {
-        writeFile(options.state, rollback.serialize());
+        writeFile(options.state, util::encode(rollback));
         std::cout << "rollback state saved to '" << options.state
                   << "'\n";
     }
