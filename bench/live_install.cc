@@ -231,10 +231,9 @@ makeCell(const GridPoint &point)
                     reference.install(*current).ok() &&
                     device.activeSlotBytes() ==
                         reference.activeSlotBytes() &&
-                    device.updater().activeManifest()->serialize() ==
-                        reference.updater()
-                            .activeManifest()
-                            ->serialize() &&
+                    util::encode(*device.updater().activeManifest()) ==
+                        util::encode(
+                            *reference.updater().activeManifest()) &&
                     device.rollback().current("fw") ==
                         reference.rollback().current("fw");
                 ++completed;

@@ -57,7 +57,7 @@ describeImage(const xom::ProgramImage &image,
 Digest
 UpdateManifest::digest() const
 {
-    return sha256Digest(serialize());
+    return sha256Digest(util::encode(*this));
 }
 
 bool

@@ -114,6 +114,7 @@ struct UpdateManifest
                   section);
     }
 
+    /** util::encode(*this); kept only for hostbench, which calls it. */
     std::vector<uint8_t> serialize() const { return util::encode(*this); }
 
     /** Parse; std::nullopt on malformed/truncated input. */
@@ -123,7 +124,7 @@ struct UpdateManifest
         return util::decode<UpdateManifest>(data);
     }
 
-    /** SHA-256 over serialize(); the value rsaSignDigest signs. */
+    /** SHA-256 over the encoding; the value rsaSignDigest signs. */
     Digest digest() const;
 };
 

@@ -73,7 +73,10 @@ class StagingJournal
     /** Does @p slot have an open record? */
     bool active(uint32_t slot) const;
 
-    /** Persistence across simulated reboots. @{ */
+    /**
+     * Persistence across simulated reboots. serialize() is
+     * util::encode(*this), kept only for hostbench, which calls it. @{
+     */
     std::vector<uint8_t> serialize() const { return util::encode(*this); }
 
     static std::optional<StagingJournal>

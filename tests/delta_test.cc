@@ -10,8 +10,8 @@
  * exist for, BaseMismatch as a clean fall-back-to-full signal (never
  * a crash), tampered patch ops dying at the signed-manifest checks,
  * the encoder-derived framed-size gate, and the staging journal's
- * resume semantics and canonical parse. Wire round trips of every
- * format live in wire_test.
+ * resume semantics and canonical parse. The mutation oracle over
+ * every format lives in wire_test.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +38,42 @@ functionalDevice(const FirmwareVendor &vendor)
 {
     return DeviceRig(vendor.builder.publicKey(), vendor.processor,
                      kStaging);
+}
+
+// ------------------------------------------------------- wire format
+
+TEST(DeltaBundle, SerializeRoundTrips)
+{
+    FirmwareVendor vendor(0xDE17A);
+    const ReleasePair pair = vendor.releasePair(32ull << 10, 0.10, 0xAB);
+
+    const std::vector<uint8_t> bytes = util::encode(pair.delta);
+    EXPECT_EQ(bytes.size(), util::encodedSize(pair.delta));
+
+    const auto parsed = DeltaBundle::deserialize(bytes);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(util::encode(*parsed), bytes);
+    EXPECT_EQ(util::encode(parsed->manifest),
+              util::encode(pair.delta.manifest));
+    EXPECT_EQ(parsed->signature, pair.delta.signature);
+}
+
+TEST(DeltaBundle, TruncationIsRejectedNotFatal)
+{
+    FirmwareVendor vendor(0xDE17B);
+    const ReleasePair pair = vendor.releasePair(8ull << 10, 0.10, 0xAC);
+    const std::vector<uint8_t> bytes = util::encode(pair.delta);
+
+    // Every prefix must parse to nullopt or to a structurally valid
+    // bundle — never crash. Stride keeps the loop fast; the first and
+    // last few bytes are the interesting edges, so cover them exactly.
+    for (size_t cut = 0; cut < bytes.size();
+         cut += (cut < 64 || cut + 64 > bytes.size()) ? 1 : 997) {
+        const std::vector<uint8_t> prefix(bytes.begin(),
+                                          bytes.begin() + cut);
+        EXPECT_FALSE(DeltaBundle::deserialize(prefix).has_value())
+            << "truncated delta at " << cut << " bytes parsed";
+    }
 }
 
 // ---------------------------------------------------- shipping size
@@ -114,8 +150,8 @@ TEST(Delta, ReconstructionIsByteIdenticalToFullInstall)
     EXPECT_EQ(delta.activeSlotBytes().size(),
               kSlotHeaderBytes + util::encodedSize(pair.next));
     EXPECT_EQ(delta.activeSlotBytes(), full.activeSlotBytes());
-    EXPECT_EQ(delta.updater().activeManifest()->serialize(),
-              full.updater().activeManifest()->serialize());
+    EXPECT_EQ(util::encode(*delta.updater().activeManifest()),
+              util::encode(*full.updater().activeManifest()));
     EXPECT_EQ(delta.rollback().current("fw"),
               full.rollback().current("fw"));
 }
@@ -279,7 +315,7 @@ TEST(StagingJournal, ResumeKeepsOnlyMatchingRecords)
 
     // ...and survives a simulated reboot.
     const auto rebooted =
-        StagingJournal::deserialize(journal.serialize());
+        StagingJournal::deserialize(util::encode(journal));
     ASSERT_TRUE(rebooted.has_value());
     EXPECT_TRUE(rebooted->chunkDone(0, 3));
     EXPECT_EQ(rebooted->completedBytes(0),
@@ -314,19 +350,19 @@ TEST(StagingJournal, ParseRejectsNonCanonicalRecords)
     digest[0] = 0xAA;
     StagingJournal empty;
     empty.begin(0, digest, 0, 4096);
-    ASSERT_TRUE(StagingJournal::deserialize(empty.serialize()));
+    ASSERT_TRUE(StagingJournal::deserialize(util::encode(empty)));
 
     // total_bytes = 2^64 - 1 at 4 KiB chunks: total + chunk - 1
     // wrapped to an active record of 0 chunks and an empty bitmap.
-    auto wrapped = empty.serialize();
+    auto wrapped = util::encode(empty);
     std::fill_n(wrapped.begin() + 48, 8, 0xFF);
     EXPECT_FALSE(StagingJournal::deserialize(wrapped));
 
-    auto valid2 = empty.serialize(); // valid is a 0/1 flag
+    auto valid2 = util::encode(empty); // valid is a 0/1 flag
     valid2[12] = 2;
     EXPECT_FALSE(StagingJournal::deserialize(valid2));
 
-    auto junk = StagingJournal().serialize(); // inactive means blank
+    auto junk = util::encode(StagingJournal()); // inactive means blank
     junk[16] = 0x01;
     EXPECT_FALSE(StagingJournal::deserialize(junk));
 
@@ -334,7 +370,7 @@ TEST(StagingJournal, ParseRejectsNonCanonicalRecords)
     // last chunk, bit 9 is the tail chunk.
     StagingJournal ten;
     ten.begin(0, digest, 10'000, 1024);
-    auto past = ten.serialize();
+    auto past = util::encode(ten);
     past[65] = 0x80;
     EXPECT_FALSE(StagingJournal::deserialize(past));
     past[65] = 0x02;
@@ -407,8 +443,8 @@ TEST(Delta, LiveDeltaInstallLandsIdenticalBytes)
     EXPECT_EQ(device.updater().activeSlot(),
               reference.updater().activeSlot());
     EXPECT_EQ(device.activeSlotBytes(), reference.activeSlotBytes());
-    EXPECT_EQ(device.updater().activeManifest()->serialize(),
-              reference.updater().activeManifest()->serialize());
+    EXPECT_EQ(util::encode(*device.updater().activeManifest()),
+              util::encode(*reference.updater().activeManifest()));
     EXPECT_EQ(device.rollback().current("fw"),
               reference.rollback().current("fw"));
 

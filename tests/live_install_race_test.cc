@@ -288,7 +288,7 @@ journalResumeTrial(FirmwareVendor &vendor, const UpdateBundle &v1,
 
     // The journal survives the reboot through its serialized image.
     const auto persisted =
-        StagingJournal::deserialize(journal.serialize());
+        StagingJournal::deserialize(util::encode(journal));
     if (!persisted.has_value())
         return false;
     journal = *persisted;

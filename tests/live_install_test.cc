@@ -152,7 +152,7 @@ differentialCell(uint64_t image_bytes, uint32_t crypto_latency,
     const auto &got = device.updater().activeManifest();
     const auto &want = reference.updater().activeManifest();
     const bool manifest_match = got.has_value() && want.has_value() &&
-                                got->serialize() == want->serialize();
+                                util::encode(*got) == util::encode(*want);
     const bool counter_match = device.rollback().current("fw") ==
                                reference.rollback().current("fw");
     cell.extras.emplace_back("bytes_match", bytes_match ? 1.0 : 0.0);

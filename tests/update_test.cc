@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the secure software-update and attestation subsystem:
- * manifest/bundle parse regressions, the vendor build -> processor
+ * manifest/bundle serialization, the vendor build -> processor
  * verify/install round trip, the rejection family (tampered image,
  * downgrade, wrong processor, bad signature, interrupted staging),
  * rollback counter monotonicity and attestation quotes.
@@ -136,6 +136,22 @@ TEST(UpdateRoundTrip, SequentialUpdatesAlternateSlots)
     EXPECT_EQ(line, std::vector<uint8_t>(kLine, 0xC0 + 2));
 }
 
+TEST(UpdateRoundTrip, BundleSerializationRoundTrips)
+{
+    Vendor vendor(5);
+    util::Rng rng(6);
+    const auto processor = crypto::rsaGenerate(512, rng);
+    const UpdateBundle bundle = vendor.release(processor.pub, 7, 9);
+
+    const auto back = UpdateBundle::deserialize(util::encode(bundle));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(util::encode(back->manifest), util::encode(bundle.manifest));
+    EXPECT_EQ(back->signature, bundle.signature);
+    EXPECT_EQ(util::encode(back->image), util::encode(bundle.image));
+    EXPECT_EQ(back->manifest.image_version, 7u);
+    EXPECT_EQ(back->manifest.rollback_counter, 9u);
+}
+
 TEST(UpdateRoundTrip, ManifestDescribesImage)
 {
     Vendor vendor(7);
@@ -247,6 +263,16 @@ TEST(UpdateRejection, ForgedSignatureIsBadSignature)
               UpdateStatus::BadSignature);
 }
 
+TEST(UpdateRejection, TruncatedBundleIsMalformed)
+{
+    Vendor vendor(22);
+    util::Rng rng(23);
+    const auto processor = crypto::rsaGenerate(512, rng);
+    auto bytes = util::encode(vendor.release(processor.pub, 1, 1));
+    bytes.resize(bytes.size() / 2);
+    EXPECT_FALSE(UpdateBundle::deserialize(bytes).has_value());
+}
+
 TEST(UpdateRejection, SelfConsistentGarbageImageIsMalformedNotFatal)
 {
     // An attacker who controls the whole bundle can make the
@@ -320,7 +346,7 @@ TEST(UpdateRejection, UnknownCipherKindIsMalformedNotFatal)
     const auto processor = crypto::rsaGenerate(512, rng);
     const UpdateBundle bundle = vendor.release(processor.pub, 1, 1);
 
-    std::vector<uint8_t> bytes = bundle.manifest.serialize();
+    std::vector<uint8_t> bytes = util::encode(bundle.manifest);
     // Manifest layout: magic u32 | format u32 | title (u32 len +
     // bytes) | image_version u32 | rollback u64 | processor_id[32] |
     // cipher u32 | ...
@@ -352,7 +378,7 @@ TEST(UpdateRejection, ImageLengthPastU32IsNotTruncated)
     const UpdateBundle bundle = vendor.release(processor.pub, 1, 1);
 
     const std::vector<uint8_t> manifest_bytes =
-        bundle.manifest.serialize();
+        util::encode(bundle.manifest);
     const std::vector<uint8_t> tail(16, 0xEE);
 
     auto craft = [&](uint64_t claimed_image_len) {

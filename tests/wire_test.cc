@@ -152,7 +152,7 @@ formats()
         report.nonce.fill(0x5A);
 
         return std::vector<Format>{
-            {"manifest", bundle.manifest.serialize(),
+            {"manifest", util::encode(bundle.manifest),
              "a802a8be7c35769c6ba0ff7d7de5e71a"
              "9f3dea7c38dd4cac7feb516d72091d3f",
              reencode<UpdateManifest>},
@@ -168,7 +168,7 @@ formats()
              "59af047414283171da22e5bffbebb5c4"
              "10f1f64fb40055c064ca2f7be8da2e9c",
              reencode<xom::ProgramImage>},
-            {"journal", journal.serialize(),
+            {"journal", util::encode(journal),
              "91b56b259da52360f505808de02b9cea"
              "c9c5e249b4f5ae1c114ef767d29b0508",
              reencode<StagingJournal>},
