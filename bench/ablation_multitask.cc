@@ -83,7 +83,8 @@ main(int argc, char **argv)
     spec.options = cli.options;
 
     for (const uint64_t quantum : {1'000'000ull, 250'000ull, 50'000ull}) {
-        const std::string at = "@" + std::to_string(quantum);
+        std::string at = "@";
+        at += std::to_string(quantum);
         spec.addCustom("tag" + at,
                        [quantum](const std::string &mix,
                                  const exp::RunOptions &options) {

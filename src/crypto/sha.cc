@@ -1,6 +1,6 @@
 /**
  * @file
- * SHA-1 / SHA-256 / HMAC implementations.
+ * SHA-256 / HMAC implementations.
  *
  * SHA-256 compression is multi-block and dispatches once, at first
  * use, between a portable implementation and an x86 SHA-NI one
@@ -24,119 +24,6 @@
 
 namespace secproc::crypto
 {
-
-// --------------------------------------------------------------------
-// SHA-1
-// --------------------------------------------------------------------
-
-Sha1::Sha1()
-{
-    reset();
-}
-
-void
-Sha1::reset()
-{
-    h_[0] = 0x67452301u;
-    h_[1] = 0xEFCDAB89u;
-    h_[2] = 0x98BADCFEu;
-    h_[3] = 0x10325476u;
-    h_[4] = 0xC3D2E1F0u;
-    total_bits_ = 0;
-    buffered_ = 0;
-}
-
-void
-Sha1::processBlock(const uint8_t block[64])
-{
-    uint32_t w[80];
-    for (int t = 0; t < 16; ++t)
-        w[t] = util::loadBe32(block + 4 * t);
-    for (int t = 16; t < 80; ++t)
-        w[t] = util::rotl32(w[t-3] ^ w[t-8] ^ w[t-14] ^ w[t-16], 1);
-
-    uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-    for (int t = 0; t < 80; ++t) {
-        uint32_t f, k;
-        if (t < 20) {
-            f = (b & c) | (~b & d);
-            k = 0x5A827999u;
-        } else if (t < 40) {
-            f = b ^ c ^ d;
-            k = 0x6ED9EBA1u;
-        } else if (t < 60) {
-            f = (b & c) | (b & d) | (c & d);
-            k = 0x8F1BBCDCu;
-        } else {
-            f = b ^ c ^ d;
-            k = 0xCA62C1D6u;
-        }
-        const uint32_t temp = util::rotl32(a, 5) + f + e + k + w[t];
-        e = d;
-        d = c;
-        c = util::rotl32(b, 30);
-        b = a;
-        a = temp;
-    }
-    h_[0] += a;
-    h_[1] += b;
-    h_[2] += c;
-    h_[3] += d;
-    h_[4] += e;
-}
-
-void
-Sha1::update(const uint8_t *data, size_t len)
-{
-    total_bits_ += static_cast<uint64_t>(len) * 8;
-    if (buffered_ > 0) {
-        const size_t take = std::min(len, sizeof(buffer_) - buffered_);
-        std::memcpy(buffer_ + buffered_, data, take);
-        buffered_ += take;
-        data += take;
-        len -= take;
-        if (buffered_ == sizeof(buffer_)) {
-            processBlock(buffer_);
-            buffered_ = 0;
-        }
-    }
-    while (len >= sizeof(buffer_)) {
-        processBlock(data);
-        data += sizeof(buffer_);
-        len -= sizeof(buffer_);
-    }
-    if (len > 0) {
-        std::memcpy(buffer_, data, len);
-        buffered_ = len;
-    }
-}
-
-void
-Sha1::final(uint8_t digest[kDigestSize])
-{
-    const uint64_t bits = total_bits_;
-    const uint8_t pad = 0x80;
-    update(&pad, 1);
-    const uint8_t zero = 0x00;
-    while (buffered_ != 56)
-        update(&zero, 1);
-    uint8_t len_be[8];
-    util::storeBe64(len_be, bits);
-    update(len_be, 8);
-    for (int i = 0; i < 5; ++i)
-        util::storeBe32(digest + 4 * i, h_[i]);
-    reset();
-}
-
-std::array<uint8_t, Sha1::kDigestSize>
-Sha1::digest(const uint8_t *data, size_t len)
-{
-    Sha1 hasher;
-    hasher.update(data, len);
-    std::array<uint8_t, kDigestSize> out;
-    hasher.final(out.data());
-    return out;
-}
 
 // --------------------------------------------------------------------
 // SHA-256

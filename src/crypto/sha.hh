@@ -1,6 +1,6 @@
 /**
  * @file
- * SHA-1 and SHA-256 (FIPS 180-4) from scratch.
+ * SHA-256 (FIPS 180-4) from scratch.
  *
  * The paper delegates memory integrity verification to hash/MAC
  * machinery (Gassend et al., HPCA 2003); secproc implements that
@@ -20,34 +20,6 @@
 
 namespace secproc::crypto
 {
-
-/** Incremental SHA-1; 20-byte digest. */
-class Sha1
-{
-  public:
-    static constexpr size_t kDigestSize = 20;
-
-    Sha1();
-
-    /** Absorb @p len bytes. */
-    void update(const uint8_t *data, size_t len);
-
-    /** Finalize and write the digest; the object is then reusable. */
-    void final(uint8_t digest[kDigestSize]);
-
-    /** One-shot convenience. */
-    static std::array<uint8_t, kDigestSize> digest(const uint8_t *data,
-                                                   size_t len);
-
-  private:
-    uint32_t h_[5];
-    uint64_t total_bits_;
-    uint8_t buffer_[64];
-    size_t buffered_;
-
-    void reset();
-    void processBlock(const uint8_t block[64]);
-};
 
 /** Incremental SHA-256; 32-byte digest. */
 class Sha256

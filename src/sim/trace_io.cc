@@ -5,11 +5,12 @@
 
 #include "sim/trace_io.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "util/logging.hh"
+#include "util/wire.hh"
 
 namespace secproc::sim
 {
@@ -17,301 +18,147 @@ namespace secproc::sim
 namespace
 {
 
-constexpr char kMagic[4] = {'S', 'P', 'T', 'R'};
+constexpr uint32_t kMagic = 0x52545053; ///< "SPTR" little-endian
 constexpr uint32_t kVersion = 1;
+constexpr size_t kMaxRegions = 1024;
 
-/** Growable byte sink / cursor-based source. */
-class Writer
-{
-  public:
-    void
-    u8(uint8_t v)
-    {
-        bytes_.push_back(v);
-    }
+/** Op header bits above the 3-bit OpClass. */
+constexpr uint8_t kMispredict = 0x08;
+constexpr uint8_t kHasAddr = 0x10;
+constexpr uint8_t kHasFetch = 0x20;
+constexpr uint8_t kHasDep1 = 0x40;
+constexpr uint8_t kHasDep2 = 0x80;
 
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    varint(uint64_t v)
-    {
-        while (v >= 0x80) {
-            u8(static_cast<uint8_t>(v) | 0x80);
-            v >>= 7;
-        }
-        u8(static_cast<uint8_t>(v));
-    }
-
-    void
-    zigzag(int64_t v)
-    {
-        varint((static_cast<uint64_t>(v) << 1) ^
-               static_cast<uint64_t>(v >> 63));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        varint(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
-
-    const std::vector<uint8_t> &bytes() const { return bytes_; }
-
-  private:
-    std::vector<uint8_t> bytes_;
-};
-
-class Reader
-{
-  public:
-    explicit Reader(std::vector<uint8_t> bytes)
-        : bytes_(std::move(bytes))
-    {}
-
-    uint8_t
-    u8()
-    {
-        fatal_if(pos_ >= bytes_.size(), "trace file truncated");
-        return bytes_[pos_++];
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t{u8()} << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= uint64_t{u8()} << (8 * i);
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    uint64_t
-    varint()
-    {
-        uint64_t v = 0;
-        unsigned shift = 0;
-        while (true) {
-            fatal_if(shift > 63, "trace varint overflows 64 bits");
-            const uint8_t byte = u8();
-            v |= (uint64_t{byte} & 0x7F) << shift;
-            if ((byte & 0x80) == 0)
-                return v;
-            shift += 7;
-        }
-    }
-
-    int64_t
-    zigzag()
-    {
-        const uint64_t raw = varint();
-        return static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-    }
-
-    std::string
-    str()
-    {
-        const uint64_t len = varint();
-        fatal_if(len > remaining(), "trace string truncated");
-        std::string s(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-                      bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-        pos_ += len;
-        return s;
-    }
-
-    bool done() const { return pos_ == bytes_.size(); }
-
-    size_t remaining() const { return bytes_.size() - pos_; }
-
-  private:
-    std::vector<uint8_t> bytes_;
-    size_t pos_ = 0;
-};
-
+/** A value as its zigzag difference from @p prev, which it then
+ *  becomes. @{ */
 void
-putRegion(Writer &w, const DataRegion &region)
+delta(util::WireWriter &w, uint64_t value, uint64_t &prev)
 {
-    w.u8(static_cast<uint8_t>(region.behavior));
-    w.u64(region.footprint);
-    w.f64(region.weight);
-    w.f64(region.store_frac);
-    w.f64(region.zipf_s);
-    w.u64(region.stride);
-    w.u32(region.burst_length);
-    w.u64(region.window_lines);
-    w.u64(region.drift_interval);
-    w.u64(region.drift_step_lines);
-    w.u64(region.conflict_stride);
-    w.u64(region.conflict_lines);
-    w.u32(region.writes_per_line);
-    w.u8(region.plaintext ? 1 : 0);
-    w.u8(region.preinitialized ? 1 : 0);
-    w.u64(region.base);
+    w.zigzag(static_cast<int64_t>(value - prev));
+    prev = value;
 }
 
-DataRegion
-getRegion(Reader &r)
+util::WireReader &
+delta(util::WireReader &r, uint64_t &value, uint64_t &prev)
 {
-    DataRegion region;
-    region.behavior = static_cast<RegionBehavior>(r.u8());
-    region.footprint = r.u64();
-    region.weight = r.f64();
-    region.store_frac = r.f64();
-    region.zipf_s = r.f64();
-    region.stride = r.u64();
-    region.burst_length = r.u32();
-    region.window_lines = r.u64();
-    region.drift_interval = r.u64();
-    region.drift_step_lines = r.u64();
-    region.conflict_stride = r.u64();
-    region.conflict_lines = r.u64();
-    region.writes_per_line = r.u32();
-    region.plaintext = r.u8() != 0;
-    region.preinitialized = r.u8() != 0;
-    region.base = r.u64();
-    return region;
+    int64_t diff = 0;
+    r.zigzag(diff);
+    value = prev += static_cast<uint64_t>(diff);
+    return r;
 }
+/** @} */
 
+/** Everything before the op stream (the format is in trace_io.hh). */
+template <class W, class Image>
 void
-putProfile(Writer &w, const WorkloadProfile &profile)
+headerFields(W &w, Image &image)
 {
-    w.str(profile.name);
-    w.f64(profile.mem_frac);
-    w.f64(profile.branch_frac);
-    w.f64(profile.mispredict_rate);
-    w.f64(profile.mul_frac);
-    w.f64(profile.fp_frac);
-    w.u64(profile.code_footprint);
-    w.f64(profile.jump_frac);
-    w.f64(profile.dep_p);
-    w.u64(profile.rng_seed);
-    w.u64(profile.va_offset);
-    w.varint(profile.regions.size());
-    for (const DataRegion &region : profile.regions)
-        putRegion(w, region);
-}
-
-WorkloadProfile
-getProfile(Reader &r)
-{
-    WorkloadProfile profile;
-    profile.name = r.str();
-    profile.mem_frac = r.f64();
-    profile.branch_frac = r.f64();
-    profile.mispredict_rate = r.f64();
-    profile.mul_frac = r.f64();
-    profile.fp_frac = r.f64();
-    profile.code_footprint = r.u64();
-    profile.jump_frac = r.f64();
-    profile.dep_p = r.f64();
-    profile.rng_seed = r.u64();
-    profile.va_offset = r.u64();
-    const uint64_t regions = r.varint();
-    fatal_if(regions > 1024, "implausible region count in trace");
-    for (uint64_t i = 0; i < regions; ++i)
-        profile.regions.push_back(getRegion(r));
-    return profile;
+    auto &p = image.profile;
+    w.tag(kMagic).tag(kVersion).vstr(p.name).f64(p.mem_frac)
+        .f64(p.branch_frac).f64(p.mispredict_rate).f64(p.mul_frac)
+        .f64(p.fp_frac).u64(p.code_footprint).f64(p.jump_frac)
+        .f64(p.dep_p).u64(p.rng_seed).u64(p.va_offset);
+    w.vlist(p.regions, kMaxRegions, [](W &w, auto &region) {
+        w.enumeration8(region.behavior, RegionBehavior::WriteOnce)
+            .u64(region.footprint).f64(region.weight)
+            .f64(region.store_frac).f64(region.zipf_s).u64(region.stride)
+            .u32(region.burst_length).u64(region.window_lines)
+            .u64(region.drift_interval).u64(region.drift_step_lines)
+            .u64(region.conflict_stride).u64(region.conflict_lines)
+            .u32(region.writes_per_line).flag8(region.plaintext)
+            .flag8(region.preinitialized).u64(region.base);
+    });
+    w.vlist(image.live_lines, kMaxRegions, [](W &w, auto &lines) {
+        uint64_t prev = 0;
+        w.vlist(lines, SIZE_MAX,
+                [&prev](W &w, auto &line) { delta(w, line, prev); });
+    });
 }
 
 } // namespace
 
-void
-writeTrace(const std::string &path, const TraceImage &image)
+std::vector<uint8_t>
+encodeTrace(const TraceImage &image)
 {
-    Writer w;
-    for (const char c : kMagic)
-        w.u8(static_cast<uint8_t>(c));
-    w.u32(kVersion);
-    putProfile(w, image.profile);
-
-    w.varint(image.live_lines.size());
-    for (const auto &lines : image.live_lines) {
-        w.varint(lines.size());
-        uint64_t prev = 0;
-        for (const uint64_t line : lines) {
-            w.zigzag(static_cast<int64_t>(line - prev));
-            prev = line;
-        }
-    }
-
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::WireWriter w(sink);
+    headerFields(w, image);
     w.u64(image.ops.size());
     uint64_t prev_addr = 0;
     uint64_t prev_fetch = 0;
     for (const TraceOp &op : image.ops) {
-        const bool has_addr = op.addr != 0;
-        const bool has_fetch = op.fetch_line != 0;
-        const bool has_dep1 = op.dep1 != 0;
-        const bool has_dep2 = op.dep2 != 0;
-        uint8_t header = static_cast<uint8_t>(op.cls) & 0x07;
-        header |= op.mispredict ? 0x08 : 0;
-        header |= has_addr ? 0x10 : 0;
-        header |= has_fetch ? 0x20 : 0;
-        header |= has_dep1 ? 0x40 : 0;
-        header |= has_dep2 ? 0x80 : 0;
+        uint8_t header = static_cast<uint8_t>(op.cls);
+        header |= op.mispredict ? kMispredict : 0;
+        header |= op.addr != 0 ? kHasAddr : 0;
+        header |= op.fetch_line != 0 ? kHasFetch : 0;
+        header |= op.dep1 != 0 ? kHasDep1 : 0;
+        header |= op.dep2 != 0 ? kHasDep2 : 0;
         w.u8(header);
-        if (has_addr) {
-            w.zigzag(static_cast<int64_t>(op.addr - prev_addr));
-            prev_addr = op.addr;
-        }
-        if (has_fetch) {
-            w.zigzag(static_cast<int64_t>(op.fetch_line - prev_fetch));
-            prev_fetch = op.fetch_line;
-        }
-        if (has_dep1)
+        if (op.addr != 0)
+            delta(w, op.addr, prev_addr);
+        if (op.fetch_line != 0)
+            delta(w, op.fetch_line, prev_fetch);
+        if (op.dep1 != 0)
             w.u8(op.dep1);
-        if (has_dep2)
+        if (op.dep2 != 0)
             w.u8(op.dep2);
     }
+    return out;
+}
 
-    FILE *file = std::fopen(path.c_str(), "wb");
-    fatal_if(file == nullptr, "cannot open trace file ", path,
-             " for writing");
-    const size_t written = std::fwrite(w.bytes().data(), 1,
-                                       w.bytes().size(), file);
-    std::fclose(file);
-    fatal_if(written != w.bytes().size(), "short write to ", path);
+std::optional<TraceImage>
+decodeTrace(std::span<const uint8_t> bytes)
+{
+    util::WireReader r(bytes);
+    TraceImage image;
+    headerFields(r, image);
+    r.check(image.live_lines.size() == image.profile.regions.size());
+
+    // Every op takes at least its header byte. A header bit announces
+    // a nonzero field: the writer omits zeros, so a present field that
+    // decodes to 0 is refused.
+    uint64_t count = 0;
+    r.u64(count).check(count <= r.remaining());
+    if (r.ok())
+        image.ops.reserve(count);
+    uint64_t prev_addr = 0;
+    uint64_t prev_fetch = 0;
+    for (uint64_t i = 0; i < count && r.ok(); ++i) {
+        uint8_t header = 0;
+        r.u8(header).check((header & 0x07) <=
+                           static_cast<uint8_t>(OpClass::Branch));
+        TraceOp &op = image.ops.emplace_back();
+        op.cls = static_cast<OpClass>(header & 0x07);
+        op.mispredict = (header & kMispredict) != 0;
+        if ((header & kHasAddr) != 0)
+            delta(r, op.addr, prev_addr).check(op.addr != 0);
+        if ((header & kHasFetch) != 0)
+            delta(r, op.fetch_line, prev_fetch).check(op.fetch_line != 0);
+        if ((header & kHasDep1) != 0)
+            r.u8(op.dep1).check(op.dep1 != 0);
+        if ((header & kHasDep2) != 0)
+            r.u8(op.dep2).check(op.dep2 != 0);
+    }
+    if (!r.atEnd())
+        return std::nullopt;
+    return image;
 }
 
 void
-recordTrace(const std::string &path, Workload &workload, uint64_t count)
+writeTrace(const std::string &path, const TraceImage &image)
+{
+    const std::vector<uint8_t> bytes = encodeTrace(image);
+    FILE *file = std::fopen(path.c_str(), "wb");
+    fatal_if(file == nullptr, "cannot open trace file ", path,
+             " for writing");
+    const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
+    std::fclose(file);
+    fatal_if(written != bytes.size(), "short write to ", path);
+}
+
+TraceImage
+captureTrace(Workload &workload, uint64_t count)
 {
     TraceImage image;
     image.profile = workload.profile();
@@ -320,83 +167,39 @@ recordTrace(const std::string &path, Workload &workload, uint64_t count)
     image.ops.reserve(count);
     for (uint64_t i = 0; i < count; ++i)
         image.ops.push_back(workload.next());
-    writeTrace(path, image);
+    return image;
+}
+
+void
+recordTrace(const std::string &path, Workload &workload, uint64_t count)
+{
+    writeTrace(path, captureTrace(workload, count));
 }
 
 TraceImage
 readTrace(const std::string &path)
 {
+    // Read to EOF rather than sizing from ftell(), which a directory
+    // or a pipe does not answer; a read error (a directory's EISDIR)
+    // surfaces through ferror().
     FILE *file = std::fopen(path.c_str(), "rb");
-    fatal_if(file == nullptr, "cannot open trace file ", path);
-    std::fseek(file, 0, SEEK_END);
-    const long size = std::ftell(file);
-    std::fseek(file, 0, SEEK_SET);
-    std::vector<uint8_t> bytes(static_cast<size_t>(size));
-    const size_t read = std::fread(bytes.data(), 1, bytes.size(), file);
+    fatal_if(file == nullptr, "cannot open trace file ", path, ": ",
+             std::strerror(errno));
+    std::vector<uint8_t> bytes;
+    uint8_t chunk[1 << 16];
+    for (size_t got; (got = std::fread(chunk, 1, sizeof chunk, file)) > 0;)
+        bytes.insert(bytes.end(), chunk, chunk + got);
+    const bool failed = std::ferror(file) != 0;
+    const int error = errno;
     std::fclose(file);
-    fatal_if(read != bytes.size(), "short read from ", path);
+    fatal_if(failed, "cannot read trace file ", path, ": ",
+             std::strerror(error));
 
-    Reader r(std::move(bytes));
-    for (const char c : kMagic) {
-        fatal_if(r.u8() != static_cast<uint8_t>(c),
-                 "not a secproc trace file: ", path);
-    }
-    fatal_if(r.u32() != kVersion, "unsupported trace version in ",
-             path);
-
-    TraceImage image;
-    image.profile = getProfile(r);
-
-    const uint64_t region_lists = r.varint();
-    fatal_if(region_lists != image.profile.regions.size(),
-             "trace live-line lists do not match regions");
-    for (uint64_t i = 0; i < region_lists; ++i) {
-        const uint64_t count = r.varint();
-        // Every live line and every op takes at least one byte, so a
-        // count past the bytes left is a damaged file, not a size to
-        // reserve.
-        fatal_if(count > r.remaining(), "trace file truncated: ", count,
-                 " live lines in ", r.remaining(), " bytes");
-        std::vector<uint64_t> lines;
-        lines.reserve(count);
-        uint64_t prev = 0;
-        for (uint64_t j = 0; j < count; ++j) {
-            prev += static_cast<uint64_t>(r.zigzag());
-            lines.push_back(prev);
-        }
-        image.live_lines.push_back(std::move(lines));
-    }
-
-    const uint64_t ops = r.u64();
-    fatal_if(ops > r.remaining(), "trace file truncated: ", ops,
-             " ops in ", r.remaining(), " bytes");
-    image.ops.reserve(ops);
-    uint64_t prev_addr = 0;
-    uint64_t prev_fetch = 0;
-    for (uint64_t i = 0; i < ops; ++i) {
-        const uint8_t header = r.u8();
-        TraceOp op;
-        op.cls = static_cast<OpClass>(header & 0x07);
-        fatal_if(static_cast<uint8_t>(op.cls) >
-                     static_cast<uint8_t>(OpClass::Branch),
-                 "corrupt op class in trace");
-        op.mispredict = (header & 0x08) != 0;
-        if ((header & 0x10) != 0) {
-            prev_addr += static_cast<uint64_t>(r.zigzag());
-            op.addr = prev_addr;
-        }
-        if ((header & 0x20) != 0) {
-            prev_fetch += static_cast<uint64_t>(r.zigzag());
-            op.fetch_line = prev_fetch;
-        }
-        if ((header & 0x40) != 0)
-            op.dep1 = r.u8();
-        if ((header & 0x80) != 0)
-            op.dep2 = r.u8();
-        image.ops.push_back(op);
-    }
-    fatal_if(!r.done(), "trailing bytes in trace file ", path);
-    return image;
+    std::optional<TraceImage> image = decodeTrace(bytes);
+    fatal_if(!image && !util::WireReader(bytes).tag(kMagic).ok(),
+             "not a secproc trace file: ", path);
+    fatal_if(!image, "trace file truncated or malformed: ", path);
+    return std::move(*image);
 }
 
 TraceWorkload::TraceWorkload(const std::string &path)

@@ -12,7 +12,7 @@
  * pre-initialize encryption state exactly as it does for a
  * generator.
  *
- * Format (little-endian):
+ * Format (little-endian, on util::wire; varints are minimal LEB128):
  *   magic "SPTR", u32 version,
  *   profile block (scalars + regions),
  *   live-lines block (per region, for SNC priming),
@@ -23,13 +23,16 @@
  *     varint zigzag delta fetch     (if has fetch_line)
  *     u8 dep1 / u8 dep2             (if present)
  * Deltas are against the previous op's value of the same field,
- * which makes streaming accesses cost one or two bytes each.
+ * which makes streaming accesses cost one or two bytes each. A field
+ * is present exactly when it is nonzero.
  */
 
 #ifndef SECPROC_SIM_TRACE_IO_HH
 #define SECPROC_SIM_TRACE_IO_HH
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,17 +50,32 @@ struct TraceImage
     std::vector<TraceOp> ops;
 };
 
+/** The trace file's bytes for @p image. */
+std::vector<uint8_t> encodeTrace(const TraceImage &image);
+
 /**
- * Record @p count ops from @p workload into @p path.
- * fatal() on I/O errors. The workload is advanced (not reset).
+ * Parse a whole trace file's bytes. Soft-fails: any input
+ * encodeTrace() cannot produce (a bad magic or version, truncation,
+ * trailing bytes, an out-of-range enum or flag, a non-minimal varint,
+ * a count past the bytes left, a present op field of 0, live-line
+ * lists that do not match the regions) yields std::nullopt, never a
+ * fatal(). Whatever it accepts re-encodes to the same bytes.
  */
+std::optional<TraceImage> decodeTrace(std::span<const uint8_t> bytes);
+
+/** The next @p count ops of @p workload with its profile and live
+ *  lines. The workload is advanced (not reset). */
+TraceImage captureTrace(Workload &workload, uint64_t count);
+
+/** captureTrace() into the file @p path; fatal() on I/O errors. */
 void recordTrace(const std::string &path, Workload &workload,
                  uint64_t count);
 
-/** Serialize an in-memory image (testing and converters). */
+/** encodeTrace() into the file @p path; fatal() on I/O errors. */
 void writeTrace(const std::string &path, const TraceImage &image);
 
-/** Load a trace file; fatal() on malformed input. */
+/** Load a trace file; fatal() (exit 1) if it cannot be read or
+ *  decodeTrace() refuses it. */
 TraceImage readTrace(const std::string &path);
 
 /**

@@ -73,13 +73,6 @@ mask(unsigned width)
     return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
 }
 
-/** Rotate a 32-bit word left by @p n (n in [0,31]). */
-constexpr uint32_t
-rotl32(uint32_t v, unsigned n)
-{
-    return std::rotl(v, static_cast<int>(n));
-}
-
 /** Rotate a 32-bit word right by @p n (n in [0,31]). */
 constexpr uint32_t
 rotr32(uint32_t v, unsigned n)

@@ -4,9 +4,9 @@
  *
  * Every artifact that crosses a trust boundary (program images,
  * update manifests, full and delta bundles, the staging journal, the
- * rollback bank, attestation reports) is little-endian and
- * length-prefixed, and states its layout once, as an ordered field
- * list that both sides run:
+ * rollback bank, attestation reports) and the instruction-trace file
+ * is little-endian and length-prefixed, and states its layout once,
+ * as an ordered field list that both sides run:
  *
  *   template <class W, class Self>
  *   static void wire(W &w, Self &self)
@@ -20,9 +20,10 @@
  *
  * The canonical-reader rule: every reader primitive rejects each
  * value its writer cannot produce — a wrong tag, a flag other than 0
- * or 1, an enum past its last enumerator, a list count above its cap
- * or above the bytes that remain, a length past the end, a nested
- * value with trailing bytes. decode() then requires the whole input
+ * or 1, an enum past its last enumerator, a varint with a redundant
+ * high byte or past 64 bits, a list count above its cap or above the
+ * bytes that remain, a length past the end, a nested value with
+ * trailing bytes. decode() then requires the whole input
  * consumed and runs the type's optional `bool validate() const` for
  * what a field list cannot state (geometry, ordering). So whatever
  * decode() accepts re-encodes to the same bytes.
@@ -37,6 +38,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -110,19 +112,43 @@ class WireWriter
 
     /** A constant the reader requires verbatim (magic, version). */
     WireWriter &tag(uint32_t v) { return u32(v); }
+    WireWriter &u8(uint8_t v) { return le(v); }
     WireWriter &u32(uint32_t v) { return le(v); }
     WireWriter &u64(uint64_t v) { return le(v); }
-    /** A bool as u32 0 or 1. */
-    WireWriter &flag(bool v) { return u32(v ? 1 : 0); }
+    /** An IEEE double by its bit pattern. */
+    WireWriter &f64(double v) { return u64(std::bit_cast<uint64_t>(v)); }
 
-    /** An enum as u32; @p max is its last enumerator. */
-    template <class E>
+    /** Minimal LEB128: seven bits per byte, low group first. */
     WireWriter &
-    enumeration(E v, E max)
+    varint(uint64_t v)
     {
-        panic_if(v > max, "encoding an out-of-range enumerator");
-        return u32(static_cast<uint32_t>(v));
+        uint8_t out[10];
+        size_t len = 0;
+        for (; v >= 0x80; v >>= 7)
+            out[len++] = static_cast<uint8_t>(v) | 0x80;
+        out[len++] = static_cast<uint8_t>(v);
+        return raw(out, len);
     }
+
+    /** A signed value zigzag-mapped (0, -1, 1, -2, ...) to a varint. */
+    WireWriter &
+    zigzag(int64_t v)
+    {
+        return varint((static_cast<uint64_t>(v) << 1) ^
+                      static_cast<uint64_t>(v >> 63));
+    }
+
+    /** A bool as u32 / one byte 0 or 1. @{ */
+    WireWriter &flag(bool v) { return u32(v ? 1 : 0); }
+    WireWriter &flag8(bool v) { return u8(v ? 1 : 0); }
+    /** @} */
+
+    /** An enum as u32 / one byte; @p max is its last enumerator. @{ */
+    template <class E>
+    WireWriter &enumeration(E v, E max) { return u32(checked(v, max)); }
+    template <class E>
+    WireWriter &enumeration8(E v, E max) { return u8(checked(v, max)); }
+    /** @} */
 
     /** Fixed-size bytes, no length prefix. */
     template <size_t N>
@@ -143,18 +169,35 @@ class WireWriter
 
     WireWriter &str(const std::string &s) { return blob(s); }
 
-    /** u32 count, then @p fn(writer, element) per element. */
+    /** varint length, then the string's bytes. */
+    WireWriter &
+    vstr(const std::string &s)
+    {
+        return varint(s.size())
+            .raw(reinterpret_cast<const uint8_t *>(s.data()), s.size());
+    }
+
+    /** u32 / varint count, then @p fn(writer, element) for each. @{ */
     template <class T, class Fn>
     WireWriter &
     list(const std::vector<T> &items, size_t cap, Fn fn)
     {
-        panic_if(items.size() > cap, "list of ", items.size(),
-                 " over its cap ", cap);
-        u32(static_cast<uint32_t>(items.size()));
+        u32(static_cast<uint32_t>(capped(items.size(), cap)));
         for (const T &item : items)
             fn(*this, item);
         return *this;
     }
+
+    template <class T, class Fn>
+    WireWriter &
+    vlist(const std::vector<T> &items, size_t cap, Fn fn)
+    {
+        varint(capped(items.size(), cap));
+        for (const T &item : items)
+            fn(*this, item);
+        return *this;
+    }
+    /** @} */
 
     /** An encoded value framed by its u32 / u64 byte length. @{ */
     template <class T>
@@ -182,6 +225,21 @@ class WireWriter
         panic_if(len > std::numeric_limits<uint32_t>::max(),
                  "u32-framed field of ", len, " bytes");
         return static_cast<uint32_t>(len);
+    }
+
+    template <class E>
+    static uint32_t
+    checked(E v, E max)
+    {
+        panic_if(v > max, "encoding an out-of-range enumerator");
+        return static_cast<uint32_t>(v);
+    }
+
+    static size_t
+    capped(size_t count, size_t cap)
+    {
+        panic_if(count > cap, "list of ", count, " over its cap ", cap);
+        return count;
     }
 
     template <class U>
@@ -230,6 +288,10 @@ class WireReader
     bool ok() const { return ok_; }
     /** Every byte consumed and nothing rejected. */
     bool atEnd() const { return ok_ && pos_ == data_.size(); }
+    size_t remaining() const { return data_.size() - pos_; }
+
+    /** Reject unless @p good: for what no primitive can state. */
+    WireReader &check(bool good) { ok_ = ok_ && good; return *this; }
 
     WireReader &
     tag(uint32_t expected)
@@ -238,28 +300,51 @@ class WireReader
         return u32(v).check(v == expected);
     }
 
+    WireReader &u8(uint8_t &v) { return le(v); }
     WireReader &u32(uint32_t &v) { return le(v); }
     WireReader &u64(uint64_t &v) { return le(v); }
 
     WireReader &
-    flag(bool &v)
+    f64(double &v)
     {
-        uint32_t raw = 0;
-        u32(raw);
-        v = raw == 1;
-        return check(raw <= 1);
-    }
-
-    template <class E>
-    WireReader &
-    enumeration(E &v, E max)
-    {
-        uint32_t raw = 0;
-        u32(raw).check(raw <= static_cast<uint32_t>(max));
-        if (ok_)
-            v = static_cast<E>(raw);
+        uint64_t bits = 0;
+        u64(bits);
+        v = std::bit_cast<double>(bits);
         return *this;
     }
+
+    /** Rejects a final zero byte after the first (a longer spelling
+     *  of a shorter varint) and a tenth byte above 1 (past 64 bits). */
+    WireReader &
+    varint(uint64_t &v)
+    {
+        v = 0;
+        for (unsigned shift = 0; ok_; shift += 7) {
+            uint8_t byte = 0;
+            u8(byte).check(shift < 63 || byte <= 1);
+            v |= uint64_t{byte & 0x7Fu} << shift;
+            if ((byte & 0x80) == 0)
+                return check(byte != 0 || shift == 0);
+        }
+        return *this;
+    }
+
+    WireReader &
+    zigzag(int64_t &v)
+    {
+        uint64_t raw = 0;
+        varint(raw);
+        v = static_cast<int64_t>((raw >> 1) ^ (0 - (raw & 1)));
+        return *this;
+    }
+
+    WireReader &flag(bool &v) { return flagAs<uint32_t>(v); }
+    WireReader &flag8(bool &v) { return flagAs<uint8_t>(v); }
+
+    template <class E>
+    WireReader &enumeration(E &v, E max) { return enumAs<uint32_t>(v, max); }
+    template <class E>
+    WireReader &enumeration8(E &v, E max) { return enumAs<uint8_t>(v, max); }
 
     template <size_t N>
     WireReader &
@@ -283,26 +368,38 @@ class WireReader
 
     WireReader &str(std::string &s) { return blob(s); }
 
+    WireReader &
+    vstr(std::string &s)
+    {
+        uint64_t len = 0;
+        const auto view = varint(len).take(len);
+        s.assign(view.begin(), view.end());
+        return *this;
+    }
+
     /**
+     * A u32 / varint count, then @p fn(reader, element) per element.
      * The count is checked against @p cap and the bytes that remain
      * before anything is allocated, and the reservation is no more
      * elements than those bytes could pay for: a claimed count never
-     * sizes an allocation past the input.
+     * sizes an allocation past the input. @{
      */
     template <class T, class Fn>
     WireReader &
     list(std::vector<T> &items, size_t cap, Fn fn)
     {
         uint32_t count = 0;
-        u32(count).check(count <= cap && count <= remaining());
-        items.clear();
-        if (ok_)
-            items.reserve(std::min<size_t>(count,
-                                           remaining() / sizeof(T)));
-        for (uint32_t i = 0; i < count && ok_; ++i)
-            fn(*this, items.emplace_back());
-        return *this;
+        return u32(count).elements(items, count, cap, fn);
     }
+
+    template <class T, class Fn>
+    WireReader &
+    vlist(std::vector<T> &items, size_t cap, Fn fn)
+    {
+        uint64_t count = 0;
+        return varint(count).elements(items, count, cap, fn);
+    }
+    /** @} */
 
     /** Decode a framed value in place, from a view of the input. @{ */
     template <class T>
@@ -316,9 +413,40 @@ class WireReader
     size_t pos_ = 0;
     bool ok_ = true;
 
-    size_t remaining() const { return data_.size() - pos_; }
+    template <class Raw>
+    WireReader &
+    flagAs(bool &v)
+    {
+        Raw raw = 0;
+        le(raw);
+        v = raw == 1;
+        return check(raw <= 1);
+    }
 
-    WireReader &check(bool good) { ok_ = ok_ && good; return *this; }
+    template <class Raw, class E>
+    WireReader &
+    enumAs(E &v, E max)
+    {
+        Raw raw = 0;
+        le(raw).check(raw <= static_cast<Raw>(max));
+        if (ok_)
+            v = static_cast<E>(raw);
+        return *this;
+    }
+
+    template <class T, class Fn>
+    WireReader &
+    elements(std::vector<T> &items, uint64_t count, size_t cap, Fn fn)
+    {
+        check(count <= cap && count <= remaining());
+        items.clear();
+        if (ok_)
+            items.reserve(std::min<size_t>(count,
+                                           remaining() / sizeof(T)));
+        for (uint64_t i = 0; i < count && ok_; ++i)
+            fn(*this, items.emplace_back());
+        return *this;
+    }
 
     /** The next @p len bytes, or an empty view and !ok(). */
     std::span<const uint8_t>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Known-answer and property tests for the crypto substrate:
- * DES/3DES/AES-128 FIPS vectors, SHA-1/SHA-256 vectors, HMAC,
+ * DES/3DES/AES-128 FIPS vectors, SHA-256 vectors, HMAC,
  * BigInt arithmetic, RSA round trips, one-time-pad helpers and the
  * crypto engine latency model.
  */
@@ -280,25 +280,6 @@ TEST(Modes, PadIsDeterministicPerSeed)
 }
 
 // -------------------------------------------------------------------- SHA
-
-TEST(Sha1, KnownVectors)
-{
-    auto d = Sha1::digest(reinterpret_cast<const uint8_t *>("abc"), 3);
-    EXPECT_EQ(toHex(d.data(), d.size()),
-              "a9993e364706816aba3e25717850c26c9cd0d89d");
-
-    const std::string empty;
-    d = Sha1::digest(reinterpret_cast<const uint8_t *>(empty.data()), 0);
-    EXPECT_EQ(toHex(d.data(), d.size()),
-              "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-
-    const std::string msg =
-        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-    d = Sha1::digest(reinterpret_cast<const uint8_t *>(msg.data()),
-                     msg.size());
-    EXPECT_EQ(toHex(d.data(), d.size()),
-              "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
 
 TEST(Sha256, KnownVectors)
 {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace record/replay tests: bit-exact round trips, cycle-identical
- * System replays, wrap semantics, and malformed-input rejection.
+ * System replays, wrap semantics, and malformed- and non-canonical-
+ * input rejection.
  */
 
 #include <gtest/gtest.h>
@@ -74,6 +75,26 @@ traceProfile(uint64_t seed)
     zipf.store_frac = 0.4;
     profile.regions = {hot, zipf};
     return profile;
+}
+
+/** A two-region trace with no ops: its last eight bytes are the op
+ *  count. */
+std::vector<uint8_t>
+emptyTrace()
+{
+    TraceImage image;
+    image.profile = traceProfile(6);
+    image.live_lines.resize(image.profile.regions.size());
+    return encodeTrace(image);
+}
+
+/** The first region's behaviour byte: after magic and version, the
+ *  name's one-byte length and bytes, 80 bytes of profile scalars and
+ *  the one-byte region count. */
+size_t
+firstRegionAt(const std::vector<uint8_t> &bytes)
+{
+    return 8 + 1 + bytes[8] + 80 + 1;
 }
 
 TEST(TraceIo, RoundTripIsBitExact)
@@ -238,6 +259,78 @@ TEST(TraceIo, RejectsMissingFile)
             (void)replay;
         },
         "cannot open");
+    // A directory opens but does not read.
+    EXPECT_DEATH_IF_SUPPORTED(
+        {
+            TraceWorkload replay(
+                std::filesystem::temp_directory_path().string());
+            (void)replay;
+        },
+        "cannot read");
+}
+
+TEST(TraceIo, DecodeRejectsNonMinimalVarint)
+{
+    const std::vector<uint8_t> good = emptyTrace();
+    ASSERT_TRUE(decodeTrace(good));
+    // The profile name's one-byte length respelled with a redundant
+    // zero high byte, and as ten bytes with bits set past bit 63.
+    const uint8_t len = good[8] | 0x80;
+    const std::vector<std::vector<uint8_t>> spellings = {
+        {len, 0x00},
+        {len, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}};
+    for (const std::vector<uint8_t> &spelling : spellings) {
+        std::vector<uint8_t> bytes(good.begin(), good.begin() + 8);
+        bytes.insert(bytes.end(), spelling.begin(), spelling.end());
+        bytes.insert(bytes.end(), good.begin() + 9, good.end());
+        EXPECT_FALSE(decodeTrace(bytes)) << spelling.size() << " bytes";
+    }
+}
+
+TEST(TraceIo, DecodeRejectsFlagByteAboveOne)
+{
+    const std::vector<uint8_t> good = emptyTrace();
+    // plaintext and preinitialized close the region, before its base.
+    const size_t plaintext = firstRegionAt(good) + 89;
+    ASSERT_EQ(good[plaintext], 0);
+    ASSERT_EQ(good[plaintext + 1], 1);
+    for (const size_t at : {plaintext, plaintext + 1}) {
+        std::vector<uint8_t> bytes = good;
+        bytes[at] = 2;
+        EXPECT_FALSE(decodeTrace(bytes)) << "offset " << at;
+    }
+}
+
+TEST(TraceIo, DecodeRejectsBehaviourPastWriteOnce)
+{
+    const std::vector<uint8_t> good = emptyTrace();
+    const size_t at = firstRegionAt(good);
+    ASSERT_EQ(good[at], static_cast<uint8_t>(RegionBehavior::Hot));
+    const uint8_t last = static_cast<uint8_t>(RegionBehavior::WriteOnce);
+    for (const uint8_t behaviour : {last, uint8_t(last + 1), uint8_t{200}}) {
+        std::vector<uint8_t> bytes = good;
+        bytes[at] = behaviour;
+        EXPECT_EQ(decodeTrace(bytes).has_value(), behaviour == last)
+            << "behaviour " << int{behaviour};
+    }
+}
+
+TEST(TraceIo, DecodeRejectsAnnouncedFieldOfZero)
+{
+    std::vector<uint8_t> one_op = emptyTrace();
+    one_op[one_op.size() - 8] = 1;
+    // Header bits 4-7 announce addr, fetch_line, dep1, dep2; the
+    // writer sets them only for nonzero fields. A Load at +8 parses.
+    const std::vector<std::pair<uint8_t, uint8_t>> ops = {
+        {0x13, 0x10}, {0x13, 0x00}, {0x20, 0x00}, {0x40, 0x00},
+        {0x80, 0x00}};
+    for (const auto &[header, field] : ops) {
+        std::vector<uint8_t> bytes = one_op;
+        bytes.push_back(header);
+        bytes.push_back(field);
+        EXPECT_EQ(decodeTrace(bytes).has_value(), field != 0)
+            << "header " << int{header};
+    }
 }
 
 TEST(TraceIo, CompressionIsCompact)

@@ -3,9 +3,10 @@
  * Wire-format tests for every artifact that crosses a trust boundary.
  *
  * Two properties. The bytes are pinned: SHA-256s of fixed-seed
- * encodings of all seven formats and of a framed staging slot,
- * recorded with the hand-paired codecs that preceded util/wire.hh,
- * so no codec change may move a wire byte.
+ * encodings of all seven formats, of a framed staging slot and of
+ * instruction traces of every benchmark profile, recorded with the
+ * hand-paired codecs that preceded util/wire.hh, so no codec change
+ * may move a wire byte.
  * And the readers are canonical: seeded mutants of those encodings
  * (bit flips, boundary values written over u32/u64 fields,
  * truncations, splices) are either rejected or re-encode to the very
@@ -19,6 +20,8 @@
 #include <functional>
 #include <new>
 
+#include "sim/profiles.hh"
+#include "sim/trace_io.hh"
 #include "update/attestation.hh"
 #include "update/device_rig.hh"
 #include "util/strutil.hh"
@@ -85,6 +88,24 @@ reencode(std::span<const uint8_t> bytes)
     return util::encode(*parsed);
 }
 
+std::optional<Bytes>
+retrace(std::span<const uint8_t> bytes)
+{
+    const auto parsed = tracked([&] { return sim::decodeTrace(bytes); });
+    if (!parsed.has_value())
+        return std::nullopt;
+    return sim::encodeTrace(*parsed);
+}
+
+/** @p ops ops of benchmark @p name, as a trace file's bytes. */
+Bytes
+traceBytes(const std::string &name, uint32_t line_size, uint64_t ops)
+{
+    sim::SyntheticWorkload workload(sim::benchmarkProfile(name),
+                                    line_size);
+    return sim::encodeTrace(sim::captureTrace(workload, ops));
+}
+
 /**
  * A framed slot keeps whatever follows the bundle (the rest of the
  * slot, here a splice tail); the re-encoding carries it over.
@@ -113,6 +134,9 @@ struct Format
     std::string pinned;
     /** The re-encoding of what the parse accepts (none: write-only). */
     std::function<std::optional<Bytes>(std::span<const uint8_t>)> reparse;
+    /** Bound on the parse's largest allocation per input byte: an
+     *  element may be larger in memory than on the wire. */
+    size_t alloc_per_byte = 2;
 };
 
 const std::vector<Format> &
@@ -184,10 +208,42 @@ formats()
              "731034a68113afc4f5cead48a99867b0"
              "61dd72481741d00b1ca06536acb3c0b1",
              reframe},
+            // A one-byte op header expands to a 24-byte TraceOp.
+            {"trace", traceBytes("gzip", 128, 2'000),
+             "a57e35f1b85091dc05612c40b1bf9735"
+             "41081894cbcc49ac390e117fdf192e70",
+             retrace, 2 * sizeof(sim::TraceOp)},
         };
     }();
     return all;
 }
+
+/** SHA-256s of 20,000-op traces of every benchmark profile, in
+ *  benchmarkNames() order, each at 64- then 128-byte lines. */
+constexpr const char *kPinnedTraces[] = {
+    "1aef0bb5edba971778299be874cc4bf3b58ecedb9c04cafcaf3f022c74e5f93c",
+    "7581712d3caf972ed23748ae7a6567ec703f3f921113ad5e6c9f9978043f119e",
+    "e96b83ddec0704d440c4f4ee563d621962963fbf82cfe82b5ef3cc3b8992bc95",
+    "7bd0ebc2603c013e1c67892891234fde4ca075f8d968c1092903e145ac717844",
+    "c37660ff564809b39456c0f16c589dc495c3f23d2b47067274810f59117c1cd6",
+    "5d74efe85d22b69a896ba8a7f76768eea0f9cc630ca92b907ab38a337ed09bb7",
+    "a22e768284e365ae2e6c65a4de26de5f9487ba7c47ceca4e145be2cf84a4eda4",
+    "789bf7f4c1811b074de7f5159cd0055a1ee2c82a6a8b39292de21d39b4aede78",
+    "364a0a9ff61bc514cae9ec648b072250503eef5f806cafad64ac845ee7467e0c",
+    "c3fa512b2b61462f5307ff4786d7646d4b85c7c1db052f8c1024ac3b6c08ada3",
+    "48c3e2007598f7afba9a77033907057d3390e49a1916caf58e81bcdc500f0ccd",
+    "d638ea5254700616559c68f36cc5684ec148d43f935c9c7032e77a85b4c277dd",
+    "982e391c899eeb09dfb789e0997b2ce6fccd0953eeb0aaf3c227e3d6743dfd0c",
+    "2e75aa13d169bea4cbafff4602685798050009e2688bd611159d658528d6d4b4",
+    "e5d588733561ffa6a247f4ed8d1b6a1e60e3cc2f4cce811c5d2de86f5bed845b",
+    "29ffef485bbdf42b6bafc74cb96bc07495f3a977c754d1de20b3341715312eb1",
+    "e0d2ea1786b5f20875876695b0bcebf378974de604769daf54858ac6df28a3b8",
+    "893cf78e8bfd0926b61eb169c21a2f87fa608fd46b349b6aeb2432c76cd65e2a",
+    "31c7cb9f416df1f5270f257f163f2a01ca4cfcdff4763bf70e3b4f92a4f8edc1",
+    "36476360fba151ec10a87dcf979c71f8561ada0276491ab3c765fcd9ddabbaba",
+    "644517cef65f3e8e2813c6bb448b640673017962c9b0150123374076df86e12c",
+    "b833d7c1bc0b9200b8ea92a671f86c5b6b5e87781c3c2c27ca8a845052d6a6b0",
+};
 
 TEST(WireFormat, BytesArePinned)
 {
@@ -204,6 +260,19 @@ TEST(WireFormat, BytesArePinned)
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(sha256DigestOfImage(parsed->image),
               sha256Digest(util::encode(parsed->image)));
+
+    const std::vector<std::string> &names = sim::benchmarkNames();
+    ASSERT_EQ(std::size(kPinnedTraces), 2 * names.size());
+    const char *const *pinned = kPinnedTraces;
+    for (const std::string &name : names) {
+        for (const uint32_t line_size : {64u, 128u}) {
+            const Digest digest =
+                sha256Digest(traceBytes(name, line_size, 20'000));
+            EXPECT_EQ(util::toHex(digest.data(), digest.size()),
+                      *pinned++)
+                << name << " at " << line_size << "-byte lines";
+        }
+    }
 }
 
 // ------------------------------------------------ round-trip oracle
@@ -252,7 +321,8 @@ mutate(const Bytes &seed, const Bytes &other, util::Rng &rng)
 }
 
 /**
- * The largest single allocation a parse may make is 2 x its input
+ * The largest single allocation a parse may make is its format's
+ * alloc_per_byte (2, a trace's 2 x sizeof(TraceOp)) times its input,
  * plus this slack. A reader reserves no more list elements than the
  * remaining bytes could pay for, but an element can be larger in
  * memory than on the wire (a 48-byte DeltaOp holds a 20-byte Copy
@@ -287,7 +357,8 @@ TEST(WireFormat, EveryMutantIsRejectedOrCanonical)
             const Bytes mutant = mutate(format.bytes, other, rng);
             g_largest = 0;
             const std::optional<Bytes> again = format.reparse(mutant);
-            EXPECT_LE(g_largest, 2 * mutant.size() + kAllocSlack)
+            EXPECT_LE(g_largest,
+                      format.alloc_per_byte * mutant.size() + kAllocSlack)
                 << "mutant " << i;
             if (again.has_value()) {
                 ++accepted;
