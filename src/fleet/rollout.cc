@@ -285,49 +285,45 @@ FleetSimulator::buildPopulation()
     const uint64_t per =
         (config_.devices + config_.shards - 1) / config_.shards;
 
-    struct ShardOut
-    {
-        std::vector<uint32_t> eligible;
-        std::vector<DeviceTraits> traits;
-        uint64_t skipped = 0;
-    };
-    std::vector<ShardOut> shards(config_.shards);
-
+    // Shard s writes its eligible ids to the front of its own id
+    // range [s * per, ...); sliding the ranges down in shard order
+    // then leaves eligible_ in device-id order, with no per-shard
+    // buffers to merge.
+    eligible_.resize(config_.devices);
+    std::vector<uint64_t> kept(config_.shards);
     runner_.forEach(config_.shards, [&](size_t s) {
-        const uint64_t begin = s * per;
-        const uint64_t end =
-            std::min(config_.devices, begin + per);
-        ShardOut &out = shards[s];
+        const uint64_t begin = std::min(config_.devices, s * per);
+        const uint64_t end = std::min(config_.devices, begin + per);
+        uint64_t count = 0;
         for (uint64_t id = begin; id < end; ++id) {
-            DeviceTraits traits = deviceTraits(
+            const DeviceTraits traits = deviceTraits(
                 config_.fleet_seed, id, config_.dist);
-            if (!vendor_.offersVariant(traits.hw_variant)) {
-                ++out.skipped;
-                continue;
-            }
-            out.eligible.push_back(static_cast<uint32_t>(id));
-            out.traits.push_back(traits);
+            if (vendor_.offersVariant(traits.hw_variant))
+                eligible_[begin + count++] = static_cast<uint32_t>(id);
         }
+        kept[s] = count;
     });
 
-    // Shard s covers a contiguous id range, so appending in shard
-    // order keeps eligible_ in device-id order.
-    for (const ShardOut &out : shards) {
-        eligible_.insert(eligible_.end(), out.eligible.begin(),
-                         out.eligible.end());
-        traits_.insert(traits_.end(), out.traits.begin(),
-                       out.traits.end());
-        totals_.skipped_no_quirk += out.skipped;
+    size_t eligible = 0;
+    for (uint32_t s = 0; s < config_.shards; ++s) {
+        const uint64_t begin = std::min(config_.devices, s * per);
+        const uint64_t end = std::min(config_.devices, begin + per);
+        if (eligible != begin)
+            std::copy(eligible_.begin() + begin,
+                      eligible_.begin() + begin + kept[s],
+                      eligible_.begin() + eligible);
+        eligible += kept[s];
+        totals_.skipped_no_quirk += end - begin - kept[s];
     }
-    totals_.eligible = eligible_.size();
+    eligible_.resize(eligible);
+    totals_.eligible = eligible;
     states_.assign(config_.devices, DeviceState{});
 }
 
 WaveStats
 FleetSimulator::runWave(uint32_t index, const std::string &kind,
                         const ReleaseInfo &release,
-                        const std::vector<uint32_t> &members,
-                        uint64_t open_cycle)
+                        const WaveMembers &members, uint64_t open_cycle)
 {
     WaveStats wave;
     wave.index = index;
@@ -335,7 +331,7 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
     wave.release = release.version;
     wave.open_cycle = open_cycle;
     wave.close_cycle = open_cycle;
-    wave.offered = members.size();
+    wave.offered = members.count;
 
     struct ShardOut
     {
@@ -351,22 +347,25 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         uint64_t transport_bytes = 0;
         util::Histogram hours{kHoursBucket, kHoursBuckets};
         util::Histogram healthy_hours{kHoursBucket, kHoursBuckets};
-        std::vector<LedgerRecord> ledger;
     };
     std::vector<ShardOut> shards(config_.shards);
 
+    // Record j of the wave goes to ledger slot j of this extension,
+    // whichever shard computes it.
+    const std::span<LedgerRecord> ledger =
+        vendor_.extendLedger(members.count);
+
     const uint64_t per =
-        (members.size() + config_.shards - 1) / config_.shards;
+        (members.count + config_.shards - 1) / config_.shards;
 
     runner_.forEach(config_.shards, [&](size_t s) {
-        const size_t begin = s * per;
-        const size_t end =
-            std::min(members.size(), begin + per);
+        const size_t begin = std::min(members.count, s * per);
+        const size_t end = std::min(members.count, begin + per);
         ShardOut &out = shards[s];
         for (size_t j = begin; j < end; ++j) {
-            const uint32_t slot = members[j];
-            const uint32_t id = eligible_[slot];
-            const DeviceTraits &traits = traits_[slot];
+            const uint32_t id = eligible_[members.slot(j)];
+            const DeviceTraits traits =
+                deviceTraits(config_.fleet_seed, id, config_.dist);
 
             // Every draw this device makes in this wave comes off
             // one stream keyed by (device, release, wave) — never
@@ -448,7 +447,7 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
             out.max_completion =
                 std::max(out.max_completion, completion);
 
-            LedgerRecord record;
+            LedgerRecord &record = ledger[j];
             record.device = id;
             record.release_version = release.version;
             record.wave = static_cast<uint16_t>(index);
@@ -456,7 +455,6 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
             record.power_cut_retries = static_cast<uint8_t>(
                 std::min<uint32_t>(sim.power_cut_retries, 255));
             record.completed_cycle = completion;
-            out.ledger.push_back(record);
         }
     });
 
@@ -476,7 +474,6 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         wave.delta_installs += out.delta_installs;
         wave.full_installs += out.full_installs;
         wave.transport_bytes += out.transport_bytes;
-        vendor_.appendLedger(out.ledger);
     }
     wave.transport_bytes_full = wave.offered * release.framed_bytes;
     totals_.delta_installs += wave.delta_installs;
@@ -632,6 +629,9 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
         track_ = trace_->track("fleet");
 
     buildPopulation();
+    // Without a rollback wave each eligible device installs at most
+    // once, so the common rollout never regrows the ledger.
+    vendor_.reserveLedger(eligible_.size());
 
     // Shipping deltas means the factory firmware must exist as a
     // real published release — the delta is cut against its signed
@@ -670,13 +670,9 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
             std::min<uint64_t>(std::max<uint64_t>(want, 1),
                                eligible_.size() - cursor));
 
-        std::vector<uint32_t> members(size);
-        for (size_t j = 0; j < size; ++j)
-            members[j] = static_cast<uint32_t>(cursor + j);
-
         const WaveStats wave = runWave(
             wave_index, wave_index == 0 ? "canary" : "expansion",
-            target, members, next_open);
+            target, WaveMembers{cursor, size}, next_open);
         totals_.waves.push_back(wave);
 
         cursor += size;
@@ -713,8 +709,9 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
                 members.push_back(static_cast<uint32_t>(slot));
         }
 
-        const WaveStats wave = runWave(wave_index, "rollback",
-                                       rollback, members, open);
+        const WaveStats wave = runWave(
+            wave_index, "rollback", rollback,
+            WaveMembers{0, members.size(), members.data()}, open);
         totals_.waves.push_back(wave);
         ++totals_.rollback_waves;
     }

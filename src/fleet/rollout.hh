@@ -16,9 +16,15 @@
  * as ground truth and must agree with the lightweight cost model
  * within kGroundTruthTolerance. The population is sharded over a
  * fixed shard count (independent of thread count) and executed by
- * exp::Runner::forEach, with per-shard results merged in shard-index
- * order — a rollout at --threads=4 is bit-identical to the serial
- * run.
+ * exp::Runner::forEach, with per-shard telemetry merged in
+ * shard-index order and per-device results written straight into
+ * their wave-order slots — a rollout at --threads=4 is bit-identical
+ * to the serial run.
+ *
+ * Per device the simulator keeps only what it cannot recompute: its
+ * DeviceState, its eligible id and one LedgerRecord per install.
+ * Traits are a pure function of (fleet seed, id) and are redrawn
+ * each time a wave meets the device.
  */
 
 #ifndef SECPROC_FLEET_ROLLOUT_HH
@@ -300,10 +306,9 @@ class FleetSimulator
     obs::TraceSink *trace_ = nullptr;
     obs::TrackId track_ = 0;
 
-    /** Eligible devices in id order, with their traits cached. @{ */
+    /** Eligible device ids in id order; a wave addresses devices
+     *  by their slot in this list. */
     std::vector<uint32_t> eligible_;
-    std::vector<DeviceTraits> traits_;
-    /** @} */
 
     std::vector<DeviceState> states_;
 
@@ -312,14 +317,28 @@ class FleetSimulator
     util::Accumulator queue_delay_;
     /** @} */
 
+    /** The eligible slots one wave offers: [first, first + count),
+     *  or the @p count slots at @p listed when set (the rollback
+     *  wave's filtered members). */
+    struct WaveMembers
+    {
+        size_t first = 0;
+        size_t count = 0;
+        const uint32_t *listed = nullptr;
+
+        size_t slot(size_t j) const
+        {
+            return listed != nullptr ? listed[j] : first + j;
+        }
+    };
+
     void buildPopulation();
 
-    /** Run one wave over @p members (ids in id order), updating
-     *  states and telemetry; @return its WaveStats. */
+    /** Run one wave over @p members (slots in id order), updating
+     *  states, telemetry and the ledger; @return its WaveStats. */
     WaveStats runWave(uint32_t index, const std::string &kind,
                       const ReleaseInfo &release,
-                      const std::vector<uint32_t> &members,
-                      uint64_t open_cycle);
+                      const WaveMembers &members, uint64_t open_cycle);
 
     void runGroundTruth(const ReleaseInfo &release);
 };

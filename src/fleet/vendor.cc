@@ -191,10 +191,12 @@ VendorService::release(uint32_t version) const
     return it->second;
 }
 
-void
-VendorService::appendLedger(const std::vector<LedgerRecord> &records)
+std::span<LedgerRecord>
+VendorService::extendLedger(size_t records)
 {
-    ledger_.insert(ledger_.end(), records.begin(), records.end());
+    const size_t old_size = ledger_.size();
+    ledger_.resize(old_size + records);
+    return std::span<LedgerRecord>(ledger_).subspan(old_size);
 }
 
 } // namespace secproc::fleet

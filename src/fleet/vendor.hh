@@ -19,8 +19,9 @@
  *    request is dispatched k service-times later plus a per-device
  *    client jitter — a closed form, so dispatch order is independent
  *    of shard or thread scheduling;
- *  - every completed install appends to the per-device history
- *    ledger, merged shard-by-shard in deterministic order.
+ *  - every completed install lands in the per-device history
+ *    ledger: a wave extends it once and each shard fills its own
+ *    slice in place, so the record order never depends on threads.
  */
 
 #ifndef SECPROC_FLEET_VENDOR_HH
@@ -28,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "crypto/rsa.hh"
@@ -141,8 +143,11 @@ struct ReleaseInfo
     const InstallCostModel &deltaCost(uint32_t engine_latency) const;
 };
 
-/** One install-history ledger entry (24 bytes; a million-device
- *  rollout keeps every record in memory). */
+/**
+ * One install-history ledger entry: 20 bytes of fields padded to 24.
+ * A rollout keeps one per install (a million-device healthy rollout
+ * holds ~23 MB of them) — the only per-install state it stores.
+ */
 struct LedgerRecord
 {
     uint32_t device = 0;
@@ -152,6 +157,7 @@ struct LedgerRecord
     uint8_t power_cut_retries = 0;
     uint64_t completed_cycle = 0;
 };
+static_assert(sizeof(LedgerRecord) == 24);
 
 /**
  * The vendor update service one fleet rollout runs against.
@@ -212,11 +218,20 @@ class VendorService
         return position * config_.cdn_service_cycles;
     }
 
-    /** Append @p records (one shard's completions) to the ledger. */
-    void appendLedger(const std::vector<LedgerRecord> &records);
+    /** Reserve room for @p records entries, so the waves that
+     *  follow extend the ledger without reallocating it. */
+    void reserveLedger(size_t records) { ledger_.reserve(records); }
 
-    /** Per-device install history, in completion order per shard
-     *  merge (deterministic across thread counts). */
+    /**
+     * Grow the ledger by @p records blank entries and return them
+     * for the caller to fill in place: a wave extends it once and
+     * each of its shards writes its own disjoint slice. The span
+     * is valid until the ledger is next extended.
+     */
+    std::span<LedgerRecord> extendLedger(size_t records);
+
+    /** Per-device install history: waves in index order, each in
+     *  its dispatch order (deterministic across thread counts). */
     const std::vector<LedgerRecord> &ledger() const
     {
         return ledger_;

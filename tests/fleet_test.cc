@@ -10,10 +10,12 @@
 
 #include <vector>
 
+#include "crypto/sha.hh"
 #include "fleet/device.hh"
 #include "fleet/rollout.hh"
 #include "fleet/vendor.hh"
 #include "ota/transport.hh"
+#include "util/strutil.hh"
 
 using namespace secproc;
 using namespace secproc::fleet;
@@ -108,11 +110,19 @@ TEST(FleetVendor, QuirkGateAndLedger)
     EXPECT_GT(release.cost(102).total(),
               release.cost(50).total());
 
-    vendor.appendLedger({LedgerRecord{7, 2, 0,
-                                      InstallOutcome::Updated, 1,
-                                      12345}});
+    vendor.reserveLedger(3);
+    vendor.extendLedger(1)[0] =
+        LedgerRecord{7, 2, 0, InstallOutcome::Updated, 1, 12345};
     ASSERT_EQ(vendor.ledger().size(), 1u);
     EXPECT_EQ(vendor.ledger()[0].device, 7u);
+    // A later extension lands after the records already written.
+    const std::span<LedgerRecord> next = vendor.extendLedger(2);
+    ASSERT_EQ(next.size(), 2u);
+    next[1].device = 9;
+    ASSERT_EQ(vendor.ledger().size(), 3u);
+    EXPECT_EQ(vendor.ledger()[0].device, 7u);
+    EXPECT_EQ(vendor.ledger()[0].completed_cycle, 12345u);
+    EXPECT_EQ(vendor.ledger()[2].device, 9u);
 
     // CDN dispatch is a closed form over queue position — shard
     // and thread scheduling cannot reorder it.
@@ -282,6 +292,85 @@ TEST(FleetRollout, BitIdenticalAcrossThreadCountsAndRuns)
         EXPECT_EQ(a.outcome, b.outcome);
         EXPECT_EQ(a.power_cut_retries, b.power_cut_retries);
         EXPECT_EQ(a.completed_cycle, b.completed_cycle);
+    }
+}
+
+namespace
+{
+
+std::string
+sha256Hex(const std::vector<uint8_t> &bytes)
+{
+    const auto digest =
+        crypto::Sha256::digest(bytes.data(), bytes.size());
+    return util::toHex(digest.data(), digest.size());
+}
+
+/** The ledger's fields, little-endian and in declaration order —
+ *  never the struct's bytes, whose padding is unspecified. */
+std::vector<uint8_t>
+ledgerBytes(const std::vector<LedgerRecord> &ledger)
+{
+    std::vector<uint8_t> out;
+    const auto put = [&out](uint64_t value, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i)
+            out.push_back(static_cast<uint8_t>(value >> (8 * i)));
+    };
+    for (const LedgerRecord &r : ledger) {
+        put(r.device, 4);
+        put(r.release_version, 4);
+        put(r.wave, 2);
+        put(static_cast<uint8_t>(r.outcome), 1);
+        put(r.power_cut_retries, 1);
+        put(r.completed_cycle, 8);
+    }
+    return out;
+}
+
+} // namespace
+
+// The thread-count test above compares runs of one build; these
+// digests pin the report and the install ledger themselves, so a
+// change to how waves are sharded, merged or stored cannot move a
+// single device's outcome unseen.
+TEST(FleetRollout, ResultAndLedgerArePinned)
+{
+    struct Case
+    {
+        FleetScenario scenario;
+        bool ship_deltas;
+        const char *json_sha256;
+        const char *ledger_sha256;
+    };
+    const Case cases[] = {
+        {fleetScenarioHealthy(), true,
+         "34c984ebd78dfdfce030ef9eb0df2fc449b1aaefb92ebc80f7cd8ebac01ef6a4",
+         "b226a6715e1bbe10fc170be2ba78cb0ef5343db142861faaf662b65537476b6e"},
+        {fleetScenarioFaulty(), false,
+         "c5dd03b451370f867588ec4c956ad6f74c5191bc1e423ba169b69e258a77bc8a",
+         "7dda1fe1e548d3b74678bc3065985ae60b30b9c5aecd6b3c9412dc83af71ed16"},
+    };
+    for (const Case &c : cases) {
+        for (const unsigned threads : {1u, 4u}) {
+            FleetConfig config;
+            config.devices = 20'000;
+            config.vendor.image_bytes = 16 << 10;
+            config.dist = c.scenario.dist;
+            config.ship_deltas = c.ship_deltas;
+            const exp::Runner runner = threadedRunner(threads);
+            FleetSimulator sim(config, RolloutPolicy::canaryStaged(),
+                               runner);
+            const RolloutResult result =
+                sim.run(c.scenario.defective_variant,
+                        c.scenario.defect_rate);
+            const std::string json = result.toJson().dump();
+            EXPECT_EQ(sha256Hex({json.begin(), json.end()}),
+                      c.json_sha256)
+                << c.scenario.name << " at " << threads << " threads";
+            EXPECT_EQ(sha256Hex(ledgerBytes(sim.vendor().ledger())),
+                      c.ledger_sha256)
+                << c.scenario.name << " at " << threads << " threads";
+        }
     }
 }
 

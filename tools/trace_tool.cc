@@ -77,13 +77,16 @@ info(const std::string &path)
         stores += op.cls == sim::OpClass::Store;
         branches += op.cls == sim::OpClass::Branch;
     }
-    const double n = static_cast<double>(image.ops.size());
-    std::cout << "loads: " << loads << " ("
-              << util::formatDouble(100.0 * loads / n, 1) << "%)\n"
-              << "stores: " << stores << " ("
-              << util::formatDouble(100.0 * stores / n, 1) << "%)\n"
-              << "branches: " << branches << " ("
-              << util::formatDouble(100.0 * branches / n, 1) << "%)\n";
+    // An empty trace has no mix to report: counts only.
+    const auto share = [&image](uint64_t count) -> std::string {
+        if (image.ops.empty())
+            return "";
+        const double n = static_cast<double>(image.ops.size());
+        return " (" + util::formatDouble(100.0 * count / n, 1) + "%)";
+    };
+    std::cout << "loads: " << loads << share(loads) << "\n"
+              << "stores: " << stores << share(stores) << "\n"
+              << "branches: " << branches << share(branches) << "\n";
     return 0;
 }
 
