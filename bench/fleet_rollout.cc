@@ -19,12 +19,7 @@
  * and the embedded ground-truth devices' worst relative error ride
  * along as extras. Device populations are sharded over a fixed
  * shard count, so every cell is bit-identical across --threads
- * settings.
- *
- * With --trace-out=PATH the bench runs one traced exemplar (the
- * canary-staged faulty rollout) instead of the grid and writes the
- * per-wave spans and publish/halt instants as a Chrome/Perfetto
- * trace next to a metrics snapshot on stdout.
+ * settings. `fleet_tool --trace-out=PATH` traces one rollout.
  */
 
 #include <algorithm>
@@ -32,9 +27,6 @@
 
 #include "exp/cli.hh"
 #include "fleet/rollout.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "util/logging.hh"
 
 using namespace secproc;
 
@@ -105,36 +97,6 @@ makeCell(const fleet::RolloutPolicy &policy, uint64_t devices)
     };
 }
 
-/** One traced rollout instead of the grid (--trace-out=PATH). */
-int
-runTracedExemplar(const std::string &trace_path, uint64_t devices)
-{
-    const fleet::FleetScenario scenario =
-        fleet::fleetScenarioFaulty();
-    exp::RunnerOptions serial;
-    serial.threads = 1;
-    const exp::Runner runner(serial);
-
-    fleet::FleetSimulator sim(fleetConfig(scenario, devices),
-                              fleet::RolloutPolicy::canaryStaged(),
-                              runner);
-    obs::TraceSink trace;
-    sim.setTraceSink(&trace);
-    obs::MetricsRegistry metrics;
-    sim.registerMetrics(metrics);
-
-    const fleet::RolloutResult result = sim.run(
-        scenario.defective_variant, scenario.defect_rate);
-
-    trace.writeChromeJson(trace_path);
-    inform("wrote ", trace_path, " (", trace.eventCount(),
-           " events)");
-    metrics.snapshot().dump(std::cout);
-    std::cout << "converged " << (result.converged ? 1 : 0)
-              << "\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -148,9 +110,6 @@ main(int argc, char **argv)
         },
         "  --devices=N   fleet population per cell "
         "(default 50000)\n");
-
-    if (!cli.trace_out.empty())
-        return runTracedExemplar(cli.trace_out, devices);
 
     exp::ExperimentSpec spec;
     spec.name = "fleet_rollout";

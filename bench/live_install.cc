@@ -287,7 +287,7 @@ makeCell(const GridPoint &point)
  * come from untraced runs only.
  */
 int
-runTracedExemplar(const exp::BenchCli &cli)
+runTracedExemplar(const std::string &trace_out)
 {
     const GridPoint &point = kGrid[0]; // live-256KB-c50
     const std::string bench = "gcc";
@@ -313,13 +313,13 @@ runTracedExemplar(const exp::BenchCli &cli)
     while (!live.done())
         system.run(10'000);
 
-    trace.writeChromeJson(cli.trace_out);
+    trace.writeChromeJson(trace_out);
     const bool ok = live.phase() == update::LiveInstallPhase::Done;
     std::cout << "traced exemplar: " << bench << " / " << point.label
               << ", install " << (ok ? "done" : "FAILED")
               << " @ cycle " << system.core().cycles() << "\n"
               << "trace: " << trace.eventCount() << " events on "
-              << trace.trackCount() << " tracks -> '" << cli.trace_out
+              << trace.trackCount() << " tracks -> '" << trace_out
               << "'\n\n-- metrics snapshot --\n";
 
     obs::MetricsRegistry registry;
@@ -334,9 +334,18 @@ runTracedExemplar(const exp::BenchCli &cli)
 int
 main(int argc, char **argv)
 {
-    const exp::BenchCli cli = exp::parseBenchCli(argc, argv);
-    if (!cli.trace_out.empty())
-        return runTracedExemplar(cli);
+    std::string trace_out = exp::traceOutFromEnvironment();
+    const exp::BenchCli cli = exp::parseBenchCli(
+        argc, argv,
+        [&trace_out](const std::string &arg) {
+            return exp::flagValue(arg, "--trace-out=", &trace_out);
+        },
+        "  --trace-out=PATH  run one traced exemplar install instead "
+        "of the grid and\n"
+        "                write its Chrome/Perfetto trace "
+        "(also SECPROC_TRACE)\n");
+    if (!trace_out.empty())
+        return runTracedExemplar(trace_out);
 
     exp::ExperimentSpec spec;
     spec.name = "live_install";

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Check that simulation reports reproduce their baselines exactly.
 
-The perf gate (check_bench_regression.py) allows each measured value
-a relative tolerance, so a small deliberate or accidental drift in
-the model passes it. The simulation reports are deterministic cycle
-counts, so their ``cells`` must match the committed baselines exactly:
-every measured value, stat and extra, bit for bit. Only the
-top-level ``profile`` object (host wall-clock) may differ, and it
-lives outside ``cells``.
+The simulation reports are deterministic cycle counts, so their
+``cells`` must match the committed baselines exactly: every measured
+value, stat and extra, bit for bit. Only the top-level ``profile``
+object (host wall-clock) may differ, and it lives outside ``cells``.
+A report run with other warmup/measure lengths than its baseline is
+named as such before its cell diffs are listed.
 
 Usage:
 
@@ -24,13 +23,18 @@ import json
 import sys
 from pathlib import Path
 
+RUN_LENGTHS = ("warmup_instructions", "measure_instructions")
 
-def canonical_cells(path: Path) -> list[str]:
+
+def load(path: Path):
+    with path.open() as fh:
+        return json.load(fh)
+
+
+def canonical_cells(doc) -> list[str]:
     """One canonical JSON line per cell (floats keep their exact
     value through json's shortest round-trip repr)."""
-    with path.open() as fh:
-        cells = json.load(fh)["cells"]
-    return [json.dumps(cell, sort_keys=True) for cell in cells]
+    return [json.dumps(cell, sort_keys=True) for cell in doc["cells"]]
 
 
 def main() -> int:
@@ -44,13 +48,22 @@ def main() -> int:
     failed = False
     for name in args.reports:
         file = f"BENCH_{name}.json"
-        base = canonical_cells(args.baseline_dir / file)
-        current = canonical_cells(args.current_dir / file)
+        base_doc = load(args.baseline_dir / file)
+        current_doc = load(args.current_dir / file)
+        base = canonical_cells(base_doc)
+        current = canonical_cells(current_doc)
         if base == current:
             print(f"{name}: {len(base)} cells identical")
             continue
         failed = True
         print(f"{name}: CELLS DIFFER from the baseline")
+        for key in RUN_LENGTHS:
+            recorded = base_doc["options"][key]
+            ran = current_doc["options"][key]
+            if recorded != ran:
+                print(f"  option {key} is {ran} but the baseline was "
+                      f"recorded with {recorded}; rerun with the "
+                      f"baseline's SECPROC_* settings")
         if len(base) != len(current):
             print(f"  cell count {len(base)} -> {len(current)}")
         for old, new in zip(base, current):

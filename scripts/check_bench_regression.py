@@ -1,256 +1,117 @@
 #!/usr/bin/env python3
-"""Compare BENCH_*.json experiment reports against committed baselines.
+"""Gate host speed on fresh BENCH_*.json experiment reports.
 
-For every ``BENCH_<name>.json`` in the baseline directory, the current
-directory must contain a report with the same name; each baseline
-cell's ``measured`` value is then compared with the current run's and
-the build fails when any cell regresses past the tolerance.
+Both checks are about how fast the host ran the benches, never about
+what the model computed: the simulation cells are deterministic, and
+check_bench_identity.py requires them to match the committed
+baselines exactly.
 
-What counts as a regression depends on the experiment:
+* Wall-time ceilings. ``wall_ceilings.json`` in the baseline
+  directory maps each gated simulation grid to the most
+  ``profile.wall_seconds`` its fresh report may show. Each ceiling
+  is the grid's measured wall time with generous headroom (see
+  bench/baselines/README.md), so a slow CI runner passes while an
+  order-of-magnitude harness regression fails.
+* RSA speedup floors. ``rsa_throughput``'s ``speedup-<bits>`` cells
+  (fast engine over the retained schoolbook engine, both timed in the
+  same process, so the ratio transfers across machines) may fall at
+  most 25% (and at least 0.5) below the committed floors in
+  ``BENCH_rsa_throughput.json``. Absolute ops/s are informational.
 
-* Simulation experiments (the default) report percent slowdowns
-  derived from deterministic cycle counts, so *higher* measured values
-  are regressions.
-* Throughput-style experiments listed in ``RULES`` with
-  ``higher_is_better`` fail when the value *drops*. For
-  ``rsa_throughput`` only the machine-portable ``speedup-*`` cells
-  (fast engine over schoolbook engine, measured in the same run on
-  the same machine) are gated; absolute ops/s do not transfer between
-  machines and are reported for information only.
-
-Improvements never fail the gate.
-
-Raw harness speed is gated separately: when the baseline directory
-contains a ``speed_floors.json`` (experiment name -> minimum
-``profile.sim_cycles_per_second``), each listed experiment's current
-report must clear its floor. The floors are committed deliberately
-conservative wall-clock numbers (see bench/baselines/README.md) so
-slow CI runners do not flap, while a kernel-scheduling or caching
-regression that slows simulation by an order of magnitude still
-fails the build.
-
-Re-baselining: rerun the gated benches with the same SECPROC_WARMUP /
-SECPROC_MEASURE the CI perf-gate job uses (see
-.github/workflows/ci.yml), then copy the fresh reports over
-``bench/baselines/`` and commit them. Ratio cells may be committed
-with conservative floors instead of measured values; see
-bench/baselines/README.md.
+Exit status: 0 when every check passes, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
-# Per-experiment comparison rules; experiments not listed use the
-# defaults (lower-is-better, every cell with a "measured" value,
-# run-length options must match the baseline).
-RULES = {
-    "rsa_throughput": {
-        "higher_is_better": True,
-        "variant_regex": r"^speedup-",
-        # Cells are wall-clock rates/ratios, not instruction-count
-        # driven; warmup/measure options are irrelevant to them, and
-        # the ratios wobble a little run-to-run, so they get a wider
-        # absolute floor than the deterministic simulation cells.
-        "check_options": False,
-        "abs_floor": 0.5,
-    },
-}
-
-GATED_OPTIONS = ("warmup_instructions", "measure_instructions")
+SPEEDUP_PREFIX = "speedup-"
+SPEEDUP_TOLERANCE = 0.25
+SPEEDUP_ABS_SLACK = 0.5
 
 
-def load_cells(doc):
-    """Map (variant, bench) -> measured for cells that report one.
+def load(path: Path):
+    with path.open() as fh:
+        return json.load(fh)
 
-    Only ``cells[*].measured`` is gated. Everything else in the
-    report — per-cell ``stats``/``extras`` and in particular the
-    top-level ``profile`` object (wall-clock seconds, cells/s,
-    sim-cycles/s; machine-dependent by construction) — is
-    informational and exempt from the perf gate.
-    """
+
+def check_ceilings(baseline_dir: Path, current_dir: Path, failures):
+    ceilings = load(baseline_dir / "wall_ceilings.json")
+    for name, ceiling in sorted(ceilings.items()):
+        path = current_dir / f"BENCH_{name}.json"
+        if not path.exists():
+            failures.append(f"{name}: {path} was not produced")
+            continue
+        wall = load(path)["profile"]["wall_seconds"]
+        status = "ok" if wall <= ceiling else "TOO SLOW"
+        print(f"{name}: {wall:.3f} s wall (ceiling {ceiling:g} s)  "
+              f"{status}")
+        if wall > ceiling:
+            failures.append(
+                f"{name}: the grid took {wall:.3f} s, over its "
+                f"{ceiling:g} s ceiling; the harness got slower or "
+                f"the ceiling needs re-recording "
+                f"(bench/baselines/README.md)")
+
+
+def speedup_cells(doc):
     return {
         (cell["variant"], cell["bench"]): cell["measured"]
-        for cell in doc.get("cells", [])
-        if "measured" in cell
+        for cell in doc["cells"]
+        if cell["variant"].startswith(SPEEDUP_PREFIX)
     }
 
 
-def check_report(name, baseline, current, args, failures, rows):
-    rule = RULES.get(name, {})
-    higher_is_better = rule.get("higher_is_better", False)
-    variant_re = re.compile(rule.get("variant_regex", ""))
-
-    if rule.get("check_options", True):
-        for key in GATED_OPTIONS:
-            base_opt = baseline.get("options", {}).get(key)
-            cur_opt = current.get("options", {}).get(key)
-            if base_opt != cur_opt:
-                failures.append(
-                    f"{name}: option {key} is {cur_opt} but the "
-                    f"baseline was recorded with {base_opt}; rerun "
-                    f"with the baseline's SECPROC_* settings or "
-                    f"re-baseline"
-                )
-                return
-
-    abs_floor = rule.get("abs_floor", args.abs_floor)
-    base_cells = load_cells(baseline)
-    cur_cells = load_cells(current)
-    for key, base in sorted(base_cells.items()):
-        variant, bench = key
-        if not variant_re.search(variant):
-            continue
-        if key not in cur_cells:
-            failures.append(
-                f"{name}: cell ({variant}, {bench}) is in the "
-                f"baseline but missing from the current report"
-            )
-            continue
-        cur = cur_cells[key]
-        margin = max(args.tolerance * abs(base), abs_floor)
-        if higher_is_better:
-            regressed = cur < base - margin
-            improved = cur > base + margin
-        else:
-            regressed = cur > base + margin
-            improved = cur < base - margin
-        status = (
-            "REGRESSION" if regressed else
-            "improved" if improved else "ok"
-        )
-        delta = cur - base
-        rows.append((name, variant, bench, base, cur, delta, status))
-        if regressed:
-            failures.append(
-                f"{name}: ({variant}, {bench}) regressed: "
-                f"baseline {base:g}, current {cur:g} "
-                f"(allowed margin {margin:g})"
-            )
-
-
-def check_speed_floors(args, failures):
-    """Gate profile.sim_cycles_per_second against committed floors.
-
-    Unlike the per-cell checks, this reads the (otherwise exempt)
-    ``profile`` object: the floor file commits to a *minimum host
-    simulation rate*, not to an exact value, so it stays meaningful
-    across machines while still catching order-of-magnitude harness
-    slowdowns.
-    """
-    floors_path = args.baseline_dir / "speed_floors.json"
-    if not floors_path.exists():
+def check_rsa_speedups(baseline_dir: Path, current_dir: Path, failures):
+    file = "BENCH_rsa_throughput.json"
+    if not (current_dir / file).exists():
+        failures.append(f"rsa_throughput: {current_dir / file} was "
+                        f"not produced")
         return
-    with floors_path.open() as fh:
-        floors = json.load(fh)
-    for name, floor in sorted(floors.items()):
-        current_path = args.current_dir / f"BENCH_{name}.json"
-        if not current_path.exists():
-            failures.append(
-                f"{name}: speed floor is committed but "
-                f"{current_path} was not produced"
-            )
+    floors = speedup_cells(load(baseline_dir / file))
+    current = speedup_cells(load(current_dir / file))
+    for (variant, bench), floor in sorted(floors.items()):
+        if (variant, bench) not in current:
+            failures.append(f"rsa_throughput: ({variant}, {bench}) is "
+                            f"missing from the current report")
             continue
-        with current_path.open() as fh:
-            profile = json.load(fh).get("profile", {})
-        rate = profile.get("sim_cycles_per_second", 0.0)
-        status = "ok" if rate >= floor else "TOO SLOW"
-        print(f"speed floor  {name}: {rate:,.0f} sim cycles/s "
-              f"(floor {floor:,.0f})  {status}")
-        if rate < floor:
+        value = current[(variant, bench)]
+        least = floor - max(SPEEDUP_TOLERANCE * abs(floor),
+                            SPEEDUP_ABS_SLACK)
+        status = "ok" if value >= least else "TOO SLOW"
+        print(f"rsa_throughput {variant} {bench}: {value:.2f}x "
+              f"(floor {floor:g}x, least {least:g}x)  {status}")
+        if value < least:
             failures.append(
-                f"{name}: simulated {rate:,.0f} cycles/s, below the "
-                f"committed floor of {floor:,.0f}; the harness got "
-                f"slower (kernel scheduling, crypto, or cache "
-                f"regression) or the floor needs re-baselining "
-                f"(bench/baselines/README.md)"
-            )
+                f"rsa_throughput: ({variant}, {bench}) fell to "
+                f"{value:.2f}x, below {least:g}x")
 
 
-def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--baseline-dir", type=Path, default=Path("bench/baselines"),
-        help="directory with committed BENCH_*.json baselines",
-    )
+        help="directory with wall_ceilings.json and the committed "
+             "BENCH_rsa_throughput.json")
     parser.add_argument(
         "--current-dir", type=Path, default=Path("."),
-        help="directory with freshly produced BENCH_*.json reports",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="relative regression tolerance (0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--abs-floor", type=float, default=0.02,
-        help="absolute slack in value units for near-zero baselines; "
-             "kept tiny because simulation cells are deterministic "
-             "(experiments in RULES may override it)",
-    )
+        help="directory with freshly produced BENCH_*.json reports")
     args = parser.parse_args()
 
-    baseline_files = sorted(args.baseline_dir.glob("BENCH_*.json"))
-    if not baseline_files:
-        print(f"error: no BENCH_*.json baselines under "
-              f"{args.baseline_dir}", file=sys.stderr)
-        return 2
-
-    failures = []
-    rows = []
-    for path in baseline_files:
-        name = path.stem.removeprefix("BENCH_")
-        current_path = args.current_dir / path.name
-        if not current_path.exists():
-            failures.append(
-                f"{name}: {current_path} not found; the gated bench "
-                f"did not run or did not emit JSON"
-            )
-            continue
-        with path.open() as fh:
-            baseline = json.load(fh)
-        with current_path.open() as fh:
-            current = json.load(fh)
-        check_report(name, baseline, current, args, failures, rows)
-
-    check_speed_floors(args, failures)
-
-    if rows:
-        header = ("experiment", "variant", "bench", "baseline",
-                  "current", "delta", "status")
-        widths = [
-            max(len(header[i]),
-                max(len(f"{r[i]:.3f}") if isinstance(r[i], float)
-                    else len(str(r[i])) for r in rows))
-            for i in range(len(header))
-        ]
-        fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-        print(fmt.format(*header))
-        for r in rows:
-            cols = [f"{c:.3f}" if isinstance(c, float) else str(c)
-                    for c in r]
-            print(fmt.format(*cols))
+    failures: list[str] = []
+    check_ceilings(args.baseline_dir, args.current_dir, failures)
+    check_rsa_speedups(args.baseline_dir, args.current_dir, failures)
 
     if failures:
         print(f"\nperf gate FAILED ({len(failures)} problem(s)):",
               file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
-        print("\nIf the change is intentional, re-baseline: rerun the "
-              "benches with the CI SECPROC_* settings and copy the "
-              "new BENCH_*.json into bench/baselines/ (see "
-              "scripts/check_bench_regression.py --help).",
-              file=sys.stderr)
         return 1
-
-    print(f"\nperf gate passed: {len(rows)} cell(s) within "
-          f"{args.tolerance:.0%} of baseline")
+    print("\nperf gate passed")
     return 0
 
 

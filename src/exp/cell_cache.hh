@@ -5,21 +5,17 @@
  * Experiment grids repeat work: every comparison column re-runs the
  * baseline variant, and the install benches measure slowdown against
  * a foreground-alone run shared by several grid points. Cells are
- * deterministic functions of (benchmark, machine config, run
- * lengths, seed), so one simulation can serve every requester. The
- * cache here memoizes runCell() behind a shared_future: the first
- * worker to claim a key simulates it outside the lock while
- * concurrent workers asking for the same key block on the future
- * instead of duplicating megacycles of simulation.
+ * deterministic functions of (benchmark, run lengths, machine
+ * config), so one simulation can serve every requester. The cache
+ * here memoizes runCell() behind a shared_future: the first worker
+ * to claim a key simulates it outside the lock while concurrent
+ * workers asking for the same key block on the future instead of
+ * duplicating megacycles of simulation.
  *
- * The key is the complete cell identity — the benchmark name, a
- * canonical digest of *every* SystemConfig field (configDigest), the
- * run lengths, the seed override, and the live SECPROC_WARMUP /
- * SECPROC_MEASURE environment values. Including the environment
- * strings means a process that mutates those overrides between runs
- * (tests, the CI kernel-equivalence harness) is never served a cell
- * computed under the old settings, even if it reuses a stale
- * RunOptions value built before the change.
+ * The key is that tuple by value: the SystemConfig is compared
+ * memberwise (its defaulted operator<=>), so a config field added
+ * later takes part in the key without being named here, and two
+ * different machines can never alias one entry.
  */
 
 #ifndef SECPROC_EXP_CELL_CACHE_HH
@@ -34,23 +30,13 @@ namespace secproc::exp
 {
 
 /**
- * Canonical text serialization of every SystemConfig field, suitable
- * as a cache key component: two configs digest equal iff they
- * describe the same machine. Kept exhaustive by construction: the
- * digest binds every config struct field by name, so adding a field
- * without digesting it fails to compile.
- */
-std::string configDigest(const sim::SystemConfig &config);
-
-/**
  * runCell() through the process-wide memo. Safe to call from any
  * number of Runner workers concurrently; a cell is simulated at most
  * once per distinct key per process.
  */
 sim::RunStats cachedRunCell(const std::string &bench,
                             const sim::SystemConfig &config,
-                            const RunOptions &options,
-                            uint64_t seed_override = 0);
+                            const RunOptions &options);
 
 /** Cache observability (tests, the bench profile footer). */
 struct CellCacheStats

@@ -66,7 +66,6 @@ parseBenchCli(int argc, char **argv,
     BenchCli cli;
     cli.runner = RunnerOptions::fromEnvironment();
     cli.options = RunOptions::fromEnvironment();
-    cli.trace_out = traceOutFromEnvironment();
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -83,10 +82,6 @@ parseBenchCli(int argc, char **argv,
                    "(also SECPROC_WARMUP)\n"
                 << "  --measure=N   measured instructions per cell "
                    "(also SECPROC_MEASURE)\n"
-                << "  --trace-out=PATH  write a Chrome/Perfetto "
-                   "trace (also SECPROC_TRACE; benches that\n"
-                << "                support it run one traced "
-                   "exemplar instead of the grid)\n"
                 << extra_help;
             std::exit(0);
         } else if (flagU64(arg, "--threads=", &n)) {
@@ -101,7 +96,6 @@ parseBenchCli(int argc, char **argv,
                            &cli.options.warmup_instructions)) {
         } else if (flagU64(arg, "--measure=",
                            &cli.options.measure_instructions)) {
-        } else if (flagValue(arg, "--trace-out=", &cli.trace_out)) {
         } else if (extra != nullptr && extra(arg)) {
         } else {
             fatal("unknown option '", arg, "' (try --help)");

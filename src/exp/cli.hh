@@ -60,14 +60,6 @@ struct BenchCli
 
     /** Override for the JSON path ("" = the report default). */
     std::string json_path;
-
-    /**
-     * Chrome-trace output path ("" = tracing off). Set by
-     * --trace-out=PATH or SECPROC_TRACE. Benches that support
-     * tracing run a single traced exemplar instead of the full
-     * grid; benches that don't simply ignore it.
-     */
-    std::string trace_out;
 };
 
 /**

@@ -17,7 +17,7 @@ namespace secproc::exp
 Report::Report(const ExperimentSpec &spec, unsigned threads)
     : name_(spec.name), title_(spec.title), subtitle_(spec.subtitle),
       benchmarks_(spec.benchmarkList()), options_(spec.options),
-      threads_(threads), seed_(spec.seed)
+      threads_(threads)
 {
     for (const ConfigVariant &variant : spec.variants) {
         VariantInfo info;
@@ -203,7 +203,6 @@ Report::toJson() const
     options.set("warmup_instructions", options_.warmup_instructions);
     options.set("measure_instructions", options_.measure_instructions);
     options.set("threads", static_cast<uint64_t>(threads_));
-    options.set("seed", seed_);
     doc.set("options", std::move(options));
 
     util::Json benches = util::Json::array();
@@ -254,16 +253,11 @@ Report::toJson() const
     }
     doc.set("cells", std::move(cells));
 
-    // Harness speed only: the perf gate reads cell["measured"] and
-    // never looks at this object, so profiling keys can vary run to
-    // run without tripping a regression.
+    // Host speed only, outside "cells": it varies run to run, so
+    // the identity gate never compares it.
     util::Json profile = util::Json::object();
     profile.set("wall_seconds", profile_.wall_seconds);
     profile.set("cells", profile_.cells);
-    profile.set("cells_per_second", profile_.cells_per_second);
-    profile.set("sim_cycles", profile_.sim_cycles);
-    profile.set("sim_cycles_per_second",
-                profile_.sim_cycles_per_second);
     doc.set("profile", std::move(profile));
     return doc;
 }

@@ -111,12 +111,8 @@ Runner::run(const ExperimentSpec &spec) const
             result.extras = std::move(output.extras);
             result.measured = output.measured;
         } else {
-            const uint64_t seed =
-                spec.seed == 0 ? 0
-                               : cellSeed(spec.seed, cell.variant_idx,
-                                          cell.bench_idx);
             result.stats = cachedRunCell(bench, variant.config(bench),
-                                         spec.options, seed);
+                                         spec.options);
         }
         if (variant.paper)
             result.paper = variant.paper(bench);
@@ -157,15 +153,6 @@ Runner::run(const ExperimentSpec &spec) const
                                       wall_start)
             .count();
     profile.cells = results.size();
-    for (const CellResult &result : results)
-        profile.sim_cycles += result.stats.cycles;
-    if (profile.wall_seconds > 0.0) {
-        profile.cells_per_second =
-            static_cast<double>(profile.cells) / profile.wall_seconds;
-        profile.sim_cycles_per_second =
-            static_cast<double>(profile.sim_cycles) /
-            profile.wall_seconds;
-    }
 
     Report report(spec, threads_);
     report.setCells(std::move(results));

@@ -4,14 +4,13 @@
  *
  * Every (variant, benchmark) cell of an ExperimentSpec is an
  * independent simulation, so the Runner fans the grid out over a
- * thread pool. Each cell builds its own System and Workload and its
- * seed is derived from the cell's grid position, never from
- * execution order — a grid run at --threads=4 is bit-identical to
- * the serial run.
+ * thread pool. Each cell builds its own System and Workload from
+ * its benchmark profile, never from execution order — a grid run at
+ * --threads=4 is bit-identical to the serial run.
  *
  * Standard cells (variants with a ConfigFn and no custom RunFn) go
  * through the process-wide cell cache (cell_cache.hh): identical
- * (bench, config, lengths, seed) cells — baselines shared by many
+ * (bench, lengths, config) cells — baselines shared by many
  * comparison columns, repeated grids in one process — simulate once.
  * Results are bit-identical with the cache cold or warm; only
  * wall-clock changes.

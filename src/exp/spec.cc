@@ -76,12 +76,10 @@ ExperimentSpec::addBaseline(std::string label, ConfigFn config)
 
 sim::RunStats
 runCell(const std::string &bench, const sim::SystemConfig &config,
-        const RunOptions &options, uint64_t seed_override)
+        const RunOptions &options)
 {
-    sim::WorkloadProfile profile = sim::benchmarkProfile(bench);
-    if (seed_override != 0)
-        profile.rng_seed = seed_override;
-    sim::SyntheticWorkload workload(profile, config.l2.line_size);
+    sim::SyntheticWorkload workload(sim::benchmarkProfile(bench),
+                                    config.l2.line_size);
     sim::System system(config, workload);
     system.run(options.warmup_instructions);
     system.beginMeasurement();
@@ -98,19 +96,6 @@ slowdownPct(uint64_t base_cycles, uint64_t model_cycles)
                 static_cast<double>(base_cycles) -
             1.0) *
            100.0;
-}
-
-uint64_t
-cellSeed(uint64_t base_seed, size_t variant_idx, size_t bench_idx)
-{
-    // splitmix64 over a cell-unique input; never returns 0 so the
-    // result is always a valid override.
-    uint64_t z = base_seed + 0x9E3779B97F4A7C15ull * (variant_idx + 1) +
-                 0xBF58476D1CE4E5B9ull * (bench_idx + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    return z == 0 ? 1 : z;
 }
 
 } // namespace secproc::exp

@@ -129,14 +129,6 @@ struct ExperimentSpec
 
     RunOptions options;
 
-    /**
-     * Non-zero: override every cell's workload seed with a value
-     * derived deterministically from (seed, variant, benchmark), so
-     * grids are reproducible independent of thread count or cell
-     * order. Zero keeps each profile's calibrated seed.
-     */
-    uint64_t seed = 0;
-
     /** Benchmark list with the default applied. */
     const std::vector<std::string> &benchmarkList() const;
 
@@ -154,20 +146,13 @@ struct ExperimentSpec
 /**
  * Run one benchmark under one machine configuration (the standard
  * cell body; usable directly for one-off runs).
- *
- * @param seed_override Non-zero replaces the profile's rng seed.
  */
 sim::RunStats runCell(const std::string &bench,
                       const sim::SystemConfig &config,
-                      const RunOptions &options,
-                      uint64_t seed_override = 0);
+                      const RunOptions &options);
 
 /** Percent slowdown of @p model_cycles over @p base_cycles. */
 double slowdownPct(uint64_t base_cycles, uint64_t model_cycles);
-
-/** Deterministic per-cell seed derived from the spec seed. */
-uint64_t cellSeed(uint64_t base_seed, size_t variant_idx,
-                  size_t bench_idx);
 
 } // namespace secproc::exp
 

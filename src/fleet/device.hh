@@ -145,8 +145,7 @@ struct FleetDistributions
 DeviceTraits deviceTraits(uint64_t fleet_seed, uint64_t device_id,
                           const FleetDistributions &dist);
 
-/** splitmix64 of @p a ^ @p b; never returns 0 (Rng-safe). The same
- *  stream-splitting idiom exp::cellSeed uses for grid cells. */
+/** splitmix64 of @p a ^ @p b; never returns 0 (Rng-safe). */
 uint64_t mixSeed(uint64_t a, uint64_t b);
 
 /** Mutable per-device rollout state; kept to 16 bytes so a

@@ -6,9 +6,10 @@
  * L1I, L1D, the unified L2 and the Sequence Number Cache (SNC). It
  * tracks tags, dirtiness, a per-line 64-bit metadata word (the L2
  * uses it to remember each line's virtual address as the paper's
- * Section 4 requires) and supports LRU, FIFO, Random and
- * no-replacement policies. The SNC keeps its sequence numbers in its
- * own table indexed by the directory slot this cache reports.
+ * Section 4 requires) and supports the two policies the machine
+ * uses: LRU, and the SNC's no-replacement. The SNC keeps its sequence
+ * numbers in its own table indexed by the directory slot this cache
+ * reports.
  *
  * The cache stores no data bytes: functional contents live in the
  * OnChipStore / MainMemory pair so the timing model stays compact.
@@ -17,6 +18,7 @@
 #ifndef SECPROC_MEM_CACHE_HH
 #define SECPROC_MEM_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,7 +26,6 @@
 
 #include "obs/metrics.hh"
 #include "util/radix_array.hh"
-#include "util/random.hh"
 
 namespace secproc::mem
 {
@@ -33,8 +34,6 @@ namespace secproc::mem
 enum class ReplacementPolicy
 {
     Lru,
-    Fifo,
-    Random,
     /**
      * Never evict: fills fail once the set is full. This is the
      * paper's "no replacement" SNC operating policy (Section 4.1).
@@ -54,6 +53,8 @@ struct CacheConfig
 
     /** Number of lines implied by the geometry. */
     uint64_t numLines() const { return size_bytes / line_size; }
+
+    auto operator<=>(const CacheConfig &) const = default;
 };
 
 /** Description of a line displaced by a fill. */
@@ -177,7 +178,6 @@ class Cache
      */
     std::vector<uint64_t> tag_words_;
     uint64_t occupancy_ = 0;
-    util::Rng victim_rng_;
 
     /**
      * Low-associativity sets are probed by scanning their ways
@@ -278,15 +278,12 @@ Cache::accessSlot(uint64_t addr, bool write)
         return kNoSlot;
     }
     ++hits_;
-    // FIFO recency is fixed at insertion; only LRU tracks touches.
     // Re-touching the MRU line (the overwhelmingly common case) is a
     // no-op, so skip the list splice entirely.
-    if (config_.policy != ReplacementPolicy::Fifo) {
-        const uint64_t set = setIndex(line_number);
-        if (head_[set] != idx) {
-            unlink(set, idx);
-            pushFront(set, idx);
-        }
+    const uint64_t set = setIndex(line_number);
+    if (head_[set] != idx) {
+        unlink(set, idx);
+        pushFront(set, idx);
     }
     if (write)
         lines_[idx].dirty = true;

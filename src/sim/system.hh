@@ -12,6 +12,7 @@
 #ifndef SECPROC_SIM_SYSTEM_HH
 #define SECPROC_SIM_SYSTEM_HH
 
+#include <compare>
 #include <utility>
 #include <memory>
 #include <optional>
@@ -97,6 +98,10 @@ struct SystemConfig
     bool functional = false;
 
     SystemConfig();
+
+    /** Memberwise: two configs are equal iff they describe the same
+     *  machine (the cell cache's key). */
+    auto operator<=>(const SystemConfig &) const = default;
 };
 
 /** End-of-run summary. */
